@@ -41,7 +41,14 @@ from .dictionary import (
     build_dictionary,
 )
 from .fisher import FisherSelection, fisher_scores, restrict, select_top_k
-from .subspace import ClassSubspace, fit_class_subspaces, pca_residuals
+from .subspace import (
+    ClassSubspace,
+    ClassSVD,
+    class_svds,
+    fit_class_subspaces,
+    pca_residuals,
+    truncate_subspaces,
+)
 from .ridge import RidgeModel, fit_ridge, ridge_scores
 from .scaffold import (
     FittedScaffold,

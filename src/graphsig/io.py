@@ -1,7 +1,7 @@
 """Dataset ingestion, fitted-scaffold snapshots, and report plumbing.
 
 Input formats are deliberately plain: an edge list ('src,dst' per
-line), a feature CSV with a header row, and a label file with one
+line), a feature CSV with an optional header row, and a label file with one
 entry per node where empty lines or '-' mark unlabeled nodes.  Large
 feature matrices may instead use a packed binary container (magic
 header, row/column counts, row-major little-endian float32 payload).
@@ -60,12 +60,19 @@ def save_features_csv(path, X, names=None) -> None:
 
 def _load_features_csv(path) -> np.ndarray:
     rows = []
-    d = None
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.strip():
-            raise ValueError(f"{path}:1: missing header row")
-        d = len(header.strip().split(","))
+        first = fh.readline().strip()
+        if not first:
+            raise ValueError(
+                f"{path}:1: empty first line, expected a header or a feature row"
+            )
+        fields = first.split(",")
+        d = len(fields)
+        # the header is optional: a first line of numbers is the first node's row
+        try:
+            rows.append([float(p) for p in fields])
+        except ValueError:
+            pass
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:

@@ -9,8 +9,9 @@ training-split population standard deviation and fused as
 
 with argmin ties broken by ascending class id.  Hyperparameters are
 selected by validation accuracy over the default grids (K, r_max, eta,
-alpha set, w), enumerated in deterministic lexicographic order with
-shared work cached per grid level.
+alpha set, w), enumerated in deterministic lexicographic order; work
+shared by a grid level runs once at that level, and points that
+provably repeat an earlier point's validation scores are skipped.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ from .conventions import EPSILON
 from .dictionary import BLOCK_NAMES, build_dictionary
 from .fisher import fisher_scores, restrict, select_top_k
 from .ridge import fit_ridge, ridge_scores
-from .subspace import fit_class_subspaces, pca_residuals
+from .subspace import class_svds, fit_class_subspaces, pca_residuals, truncate_subspaces
 
 DEFAULT_K_GRID = (4000, 5000, 6000, 8000)
 DEFAULT_RMAX_GRID = (32, 48, 64, 96)
@@ -250,10 +251,18 @@ def grid_search(
 
     Enumeration is lexicographic in (K, r_max, eta, alpha_set, w); the
     first configuration attaining the maximum validation accuracy wins.
-    Shared work is cached: the dictionary and Fisher scores are computed
-    once, the column restriction once per K, subspaces once per
+    Shared work runs once per grid level: the dictionary and Fisher
+    scores once, the train and val rows of the dictionary once, the
+    column gather and one SVD per class once per K, the truncation per
     (K, r_max, eta), ridge solves once per (K, alpha_set), and the w
     sweep only re-fuses precomputed branch scores.
+
+    Two kinds of points are skipped because an earlier point already
+    scored exactly the same validation predictions, so under first-wins
+    they can never replace the best: a K level whose K_eff (K clamped
+    to the dictionary width) repeats an earlier level's, and, within one
+    K, an (r_max, eta) point whose per-class subspace ranks repeat an
+    earlier point's (the basis and residuals depend on the ranks alone).
 
     Returns (best HyperConfig, FittedScaffold refit at it, val accuracy).
     """
@@ -272,17 +281,29 @@ def grid_search(
     classes = np.unique(y_tr)
     Y = _onehot(y_tr, classes)
     eps = EPSILON
+    # the search reads train and val rows only
+    F0_tr = dictionary.F0[train]
+    F0_val = dictionary.F0[val]
 
     best = None  # (acc, config)
+    seen_k_eff = set()
     for k in grids.ks:
         selection = select_top_k(q, k)
-        F, _ = restrict(dictionary, selection.selected)
-        F_tr = F[train]
-        F_val = F[val]
+        if selection.k_eff in seen_k_eff:
+            continue
+        seen_k_eff.add(selection.k_eff)
+        F_tr = F0_tr[:, selection.selected]
+        F_val = F0_val[:, selection.selected]
+        svds = class_svds(F_tr, y_tr)
+        seen_ranks = set()
         ridge_cache = {}
         for r_max in grids.r_maxs:
             for eta in grids.etas:
-                subspaces = fit_class_subspaces(F_tr, y_tr, r_max, eta)
+                subspaces = truncate_subspaces(svds, r_max, eta)
+                ranks = tuple(s.r for s in subspaces)
+                if ranks in seen_ranks:
+                    continue
+                seen_ranks.add(ranks)
                 sigma_pca = float(np.std(pca_residuals(F_tr, subspaces)))
                 Rp_val = pca_residuals(F_val, subspaces) / (sigma_pca + eps)
                 for alpha_set in grids.alpha_sets:
@@ -310,6 +331,8 @@ def grid_search(
                                 ),
                             )
     best_acc, best_config = best
+    # free the search's row gathers before the refit gathers all n rows
+    del F0_tr, F0_val, F_tr, F_val
     scaffold = fit(g, X, y, train, best_config, fisher_idx=fisher_idx, dictionary=dictionary)
     return best_config, scaffold, best_acc
 

@@ -38,20 +38,26 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
     return V * signs
 
 
-def fit_class_subspaces(F_tr: np.ndarray, y_tr, r_max: int, eta: float) -> list:
-    """Fit one ClassSubspace per training-present class, ascending label order."""
-    if r_max < 1:
-        raise ValueError(f"r_max must be >= 1, got {r_max}")
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
+@dataclass(frozen=True)
+class ClassSVD:
+    """Centered-class SVD that every (r_max, eta) truncation shares."""
+
+    label: int
+    center: np.ndarray  # (K,)
+    svals: np.ndarray  # singular values above RANK_CUTOFF, descending
+    Vt: np.ndarray  # (len(svals), K) right-singular directions
+    n_members: int
+
+
+def class_svds(F_tr: np.ndarray, y_tr) -> list:
+    """One ClassSVD per training-present class, ascending label order."""
     F_tr = np.asarray(F_tr, dtype=np.float64)
     y_tr = np.asarray(y_tr)
     K = F_tr.shape[1]
 
-    subspaces = []
+    svds = []
     for c in np.unique(y_tr):
         rows = F_tr[y_tr == c]
-        n_c = rows.shape[0]
         center = rows.mean(axis=0)
         # bitwise-identical rows must not pick up rank from the 1-ulp
         # rounding the mean introduces, so test identity before centering
@@ -59,41 +65,54 @@ def fit_class_subspaces(F_tr: np.ndarray, y_tr, r_max: int, eta: float) -> list:
             svals = np.zeros(0)
             Vt = np.zeros((0, K))
         else:
-            centered = rows - center
-            _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
+            _, svals, Vt = np.linalg.svd(rows - center, full_matrices=False)
             if svals.size and svals[0] > 0:
                 svals = svals[svals > RANK_CUTOFF * svals[0]]
             else:
                 svals = svals[:0]
-        if svals.size == 0:
-            # all class rows identical (or a single member): zero variance
-            subspaces.append(
-                ClassSubspace(
-                    label=int(c),
-                    center=center,
-                    basis=np.zeros((K, 0)),
-                    r=0,
-                    energy_fraction=1.0,
-                    n_members=n_c,
-                )
+            Vt = Vt[: svals.size]
+        svds.append(
+            ClassSVD(
+                label=int(c), center=center, svals=svals, Vt=Vt, n_members=rows.shape[0]
             )
-            continue
-        energy = np.cumsum(svals**2) / np.sum(svals**2)
-        r = int(np.searchsorted(energy, eta - 1e-15) + 1)
-        r = min(r, r_max, n_c - 1, K)
-        basis = _fix_signs(Vt[:r].T)
-        achieved = float(energy[r - 1]) if r > 0 else 0.0
+        )
+    return svds
+
+
+def truncate_subspaces(svds, r_max: int, eta: float) -> list:
+    """ClassSubspaces at one (r_max, eta) from precomputed class SVDs."""
+    if r_max < 1:
+        raise ValueError(f"r_max must be >= 1, got {r_max}")
+    if not (0.0 < eta <= 1.0):
+        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    subspaces = []
+    for sv in svds:
+        K = sv.center.shape[0]
+        if sv.svals.size == 0:
+            # all class rows identical (or a single member): zero variance
+            r, basis, achieved = 0, np.zeros((K, 0)), 1.0
+        else:
+            energy = np.cumsum(sv.svals**2) / np.sum(sv.svals**2)
+            r = int(np.searchsorted(energy, eta - 1e-15) + 1)
+            r = min(r, r_max, sv.n_members - 1, K)
+            basis = _fix_signs(sv.Vt[:r].T)
+            achieved = float(energy[r - 1]) if r > 0 else 0.0
         subspaces.append(
             ClassSubspace(
-                label=int(c),
-                center=center,
+                label=sv.label,
+                center=sv.center,
                 basis=basis,
                 r=r,
                 energy_fraction=achieved,
-                n_members=n_c,
+                n_members=sv.n_members,
             )
         )
     return subspaces
+
+
+def fit_class_subspaces(F_tr: np.ndarray, y_tr, r_max: int, eta: float) -> list:
+    """Fit one ClassSubspace per training-present class, ascending label order."""
+    return truncate_subspaces(class_svds(F_tr, y_tr), r_max, eta)
 
 
 def pca_residuals(F: np.ndarray, subspaces) -> np.ndarray:

@@ -72,6 +72,12 @@ def test_feature_csv_line_errors(tmp_path):
         load_features(str(p))
 
 
+def test_feature_csv_without_header_keeps_first_row(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text("1,2\n3,4\n5,6\n")
+    assert np.array_equal(load_features(str(p)), [[1, 2], [3, 4], [5, 6]])
+
+
 # --------------------------------------------------------------------- labels
 
 

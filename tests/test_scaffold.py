@@ -168,15 +168,26 @@ def naive_grid_search(g, X, y, train, val, grids):
     return best
 
 
-def test_grid_search_matches_naive_enumeration():
+@pytest.mark.parametrize(
+    "ks, r_maxs",
+    [
+        ((10, 30), (2, 5)),
+        # the dictionary is 9 * 5 = 45 wide, so both K levels clamp to the
+        # same K_eff, and with 10 train nodes per class (rank <= 9) no r_max
+        # binds: both skip rules of the search run
+        ((50, 80), (12, 20)),
+    ],
+    ids=["distinct-levels", "repeated-levels"],
+)
+def test_grid_search_matches_naive_enumeration(ks, r_maxs):
     g, X, y = make_sbm_dataset(
         n_per_class=30, n_classes=2, p_within=0.12, p_between=0.05,
         d=5, shift=0.8, seed=5,
     )
     train, val, _ = make_split(y, SplitSpec(train_per_class=10, val_per_class=10, seed=5))
     grids = SearchGrids(
-        ks=(10, 30),
-        r_maxs=(2, 5),
+        ks=ks,
+        r_maxs=r_maxs,
         etas=(0.9, 0.99),
         alpha_sets=((0.1,), (1.0, 10.0)),
         ws=(0.3, 0.5, 0.7),

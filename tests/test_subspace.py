@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from graphsig.subspace import fit_class_subspaces, pca_residuals
+from graphsig.subspace import (
+    class_svds,
+    fit_class_subspaces,
+    pca_residuals,
+    truncate_subspaces,
+)
 
 
 def brute_force_residuals(F, subspaces):
@@ -142,3 +150,37 @@ def test_parameter_validation():
     subs = fit_class_subspaces(np.eye(3), y, r_max=1, eta=0.9)
     with pytest.raises(ValueError, match="dimension"):
         pca_residuals(np.zeros((2, 5)), subs)
+
+
+@st.composite
+def class_matrices(draw):
+    K = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    values = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    F_tr = draw(arrays(np.float64, (n, K), elements=values))
+    y_tr = draw(arrays(np.int64, n, elements=st.integers(0, 2)))
+    F = draw(arrays(np.float64, (3, K), elements=values))
+    return F_tr, y_tr, F
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(class_matrices(), st.sampled_from((0.5, 0.9, 0.99, 1.0)))
+def test_truncation_properties(data, eta):
+    F_tr, y_tr, F = data
+    svds = class_svds(F_tr, y_tr)
+    scale = 1.0 + np.max(np.abs(np.vstack([F_tr, F]))) ** 2
+    prev = None
+    for r_max in (1, 2, 3, 5, 8):
+        subs = truncate_subspaces(svds, r_max, eta)
+        direct = fit_class_subspaces(F_tr, y_tr, r_max, eta)
+        for a, b in zip(subs, direct, strict=True):
+            assert (a.label, a.r, a.n_members) == (b.label, b.r, b.n_members)
+            assert np.array_equal(a.energy_fraction, b.energy_fraction, equal_nan=True)
+            assert np.array_equal(a.center, b.center)
+            assert np.array_equal(a.basis, b.basis)
+        R = pca_residuals(F, subs)
+        assert np.all(R >= 0.0)
+        if prev is not None:
+            # nested bases: a larger rank cap never increases a residual
+            assert np.all(R <= prev + 1e-9 * scale)
+        prev = R
