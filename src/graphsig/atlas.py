@@ -19,19 +19,18 @@ selection path can reach them.
 """
 
 import csv
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conventions import EPSILON, STD_MODE
+from .conventions import conventions
 from .dictionary import BLOCK_NAMES, BLOCKS, FAMILIES
+from .io import meta_line, write_json
 from .scaffold import predict
 
 QUADRANTS = ("both-correct", "pca-only", "ridge-only", "both-wrong")
 
-FAMILY_OF = {b.name: b.family for b in BLOCKS}
 FAMILY_BLOCKS = {fam: tuple(b.name for b in BLOCKS if b.family == fam) for fam in FAMILIES}
 
 
@@ -224,15 +223,10 @@ def _fmt(v):
     return str(v)
 
 
-def _meta_line(meta):
-    parts = [f"{k}={meta[k]}" for k in sorted(meta)]
-    return "# " + " ".join(parts)
-
-
 def _write_csv(path, header, rows, meta=None):
     with open(path, "w", newline="") as fh:
         if meta:
-            fh.write(_meta_line(meta) + "\n")
+            fh.write(meta_line(meta) + "\n")
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -268,11 +262,7 @@ def fingerprint_payload(fp: DatasetFingerprint, dataset_name, split_mode, meta=N
         "n_eval": fp.n_eval,
         "accuracy": _pct(fp.accuracy),
         "per_block_means": {k: _pct(v) for k, v in fp.per_block_means.items()},
-        "conventions": {
-            "std_mode": STD_MODE,
-            "epsilon": EPSILON,
-            "split_mode": split_mode,
-        },
+        "conventions": conventions(split_mode),
         "overlap_metric": "tr(Ba^T Bb Bb^T Ba) / min(ra, rb)",
     }
     if meta:
@@ -346,9 +336,7 @@ def emit_figure_data(
     _write_csv(os.path.join(out_dir, "atlas.csv"), header, rows, meta)
 
     payload = fingerprint_payload(fp, dataset_name, split_mode, meta)
-    with open(os.path.join(out_dir, "fingerprint.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "fingerprint.json"), payload)
 
     _write_csv(
         os.path.join(out_dir, "simplex.csv"),

@@ -2,29 +2,33 @@
 
 Every verb reads plain files, writes only under --out, and is
 deterministic for identical inputs; timing goes to its own file so the
-result files are byte-reproducible.  The thread count honored by the
+result files are byte-reproducible.  A verb is a generator that yields
+the name of each stage before running it; ``main`` creates --out and
+turns any failure into one ``graphsig <verb>: stage <stage>: <message>``
+line on stderr with exit status 2.  The thread count honored by the
 BLAS backends comes from GRAPHSIG_NUM_THREADS, applied at package
 import before numpy starts.
 """
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
 from .atlas import dataset_fingerprint, emit_figure_data, node_atlas
-from .conventions import EPSILON, PACKAGE_VERSION, STD_MODE
+from .conventions import PACKAGE_VERSION
 from .dictionary import BLOCK_NAMES
 from .io import (
     RunConfig,
     config_hash,
     load_dataset,
     load_snapshot,
+    meta_line,
     report_meta,
     save_edge_provenance,
     save_snapshot,
@@ -42,12 +46,6 @@ from .lab import (
     variant_by_name,
 )
 from .scaffold import SearchGrids, SplitSpec, evaluate_repeats, summarize_repeats
-
-
-class CliError(Exception):
-    def __init__(self, stage, err):
-        super().__init__(f"stage {stage}: {err}")
-        self.stage = stage
 
 
 def _ints(text):
@@ -110,7 +108,7 @@ def _add_model_args(p):
 def _split_spec(args) -> SplitSpec:
     fr = args.fractions
     if len(fr) != 3:
-        raise CliError("configure", "--fractions needs exactly three values")
+        raise ValueError("--fractions needs exactly three values")
     return SplitSpec(
         mode=args.split_mode,
         train_per_class=args.train_per_class,
@@ -137,365 +135,322 @@ def _blocks(args):
     names = tuple(t.strip() for t in args.blocks.split(",") if t.strip())
     for t in names:
         if t not in BLOCK_NAMES:
-            raise CliError(
-                "configure", f"unknown block {t!r}; known: {', '.join(BLOCK_NAMES)}"
-            )
+            raise ValueError(f"unknown block {t!r}; known: {', '.join(BLOCK_NAMES)}")
     return names
 
 
-def _run_config(args, out_dir) -> RunConfig:
+def _run_config(args, name) -> RunConfig:
     return RunConfig(
-        name=args.name or "dataset",
+        name=name,
         split=_split_spec(args),
         repeats=args.repeats,
         grids=_grids(args),
         active_blocks=_blocks(args),
         fisher_mode=args.fisher_mode,
         snapshots=getattr(args, "snapshots", "first"),
-        out_dir=out_dir,
     )
 
 
-def cmd_run(args) -> int:
+def cmd_run(args):
     out = args.out
-    os.makedirs(out, exist_ok=True)
     t_start = time.perf_counter()
     stage_times = {}
 
-    stage = "load-dataset"
-    try:
-        t0 = time.perf_counter()
-        bundle = load_dataset(args.edges, args.features, args.labels, name=args.name)
-        config = dataclasses.replace(_run_config(args, out), name=bundle.name)
-        stage_times["load"] = time.perf_counter() - t0
+    yield "load-dataset"
+    t0 = time.perf_counter()
+    bundle = load_dataset(args.edges, args.features, args.labels, name=args.name)
+    yield "configure"
+    config = _run_config(args, bundle.name)
+    c_hash = config_hash(config)
+    stage_times["load"] = time.perf_counter() - t0
 
-        stage = "evaluate"
-        t0 = time.perf_counter()
-        outcomes = evaluate_repeats(
-            bundle.graph,
-            bundle.X,
-            bundle.y,
-            config.split,
-            n_repeats=config.repeats,
-            grids=config.grids,
-            active_blocks=config.active_blocks,
-            fisher_mode=config.fisher_mode,
+    yield "evaluate"
+    t0 = time.perf_counter()
+    outcomes = evaluate_repeats(
+        bundle.graph,
+        bundle.X,
+        bundle.y,
+        config.split,
+        n_repeats=config.repeats,
+        grids=config.grids,
+        active_blocks=config.active_blocks,
+        fisher_mode=config.fisher_mode,
+    )
+    summary = summarize_repeats(outcomes)
+    stage_times["evaluate"] = time.perf_counter() - t0
+
+    yield "atlas"
+    t0 = time.perf_counter()
+    meta = report_meta(c_hash, config.split.mode)
+    for o in outcomes:
+        rep_dir = os.path.join(out, f"repeat_{o.repeat:02d}")
+        records = node_atlas(o.scaffold, o.test, bundle.y, bundle.graph.degree)
+        fp = dataset_fingerprint(records, o.scaffold.subspaces)
+        emit_figure_data(
+            records,
+            fp,
+            rep_dir,
+            subspaces=o.scaffold.subspaces,
+            dataset_name=bundle.name,
+            split_mode=config.split.mode,
+            meta=dict(meta, repeat=o.repeat),
         )
-        summary = summarize_repeats(outcomes)
-        stage_times["evaluate"] = time.perf_counter() - t0
-
-        stage = "atlas"
-        t0 = time.perf_counter()
-        meta = report_meta(config)
-        for o in outcomes:
-            rep_dir = os.path.join(out, f"repeat_{o.repeat:02d}")
-            records = node_atlas(o.scaffold, o.test, bundle.y, bundle.graph.degree)
-            fp = dataset_fingerprint(records, o.scaffold.subspaces)
-            emit_figure_data(
-                records,
-                fp,
-                rep_dir,
-                subspaces=o.scaffold.subspaces,
-                dataset_name=bundle.name,
-                split_mode=config.split.mode,
-                meta=dict(meta, repeat=o.repeat),
-            )
-            want_snap = config.snapshots == "all" or (
-                config.snapshots == "first" and o.repeat == 0
-            )
-            if want_snap:
-                save_snapshot(
-                    os.path.join(rep_dir, "snapshot.json"),
-                    o.scaffold,
-                    extra={
-                        "dataset": bundle.name,
-                        "split_mode": config.split.mode,
-                        "seed": o.seed,
-                        "repeat": o.repeat,
-                        "val_idx": o.val.tolist(),
-                        "test_idx": o.test.tolist(),
-                    },
-                )
-        stage_times["atlas"] = time.perf_counter() - t0
-
-        stage = "report"
-        results = {
-            "dataset": {
-                "name": bundle.name,
-                "n": bundle.graph.n,
-                "d": int(bundle.X.shape[1]),
-                "edges": bundle.graph.n_edges,
-                "n_classes": len(bundle.label_map),
-                "labeled": int(np.sum(bundle.y >= 0)),
-                "label_map": bundle.label_map,
-            },
-            "config": config.to_dict(),
-            "config_hash": config_hash(config),
-            "code_version": PACKAGE_VERSION,
-            "accuracy_mean": summary["mean"],
-            "accuracy_std": summary["std"],
-            "repeats": [
-                {
-                    "repeat": o.repeat,
+        want_snap = config.snapshots == "all" or (
+            config.snapshots == "first" and o.repeat == 0
+        )
+        if want_snap:
+            save_snapshot(
+                os.path.join(rep_dir, "snapshot.json"),
+                o.scaffold,
+                extra={
+                    "dataset": bundle.name,
+                    "config_hash": c_hash,
+                    "split_mode": config.split.mode,
                     "seed": o.seed,
-                    "val_accuracy": o.val_accuracy,
-                    "test_accuracy": o.test_accuracy,
-                    "selected_config": o.config.to_dict(),
-                    "sizes": {
-                        "train": int(o.train.size),
-                        "val": int(o.val.size),
-                        "test": int(o.test.size),
-                    },
-                }
-                for o in outcomes
-            ],
-        }
-        write_json(os.path.join(out, "results.json"), results)
-        stage_times["total"] = time.perf_counter() - t_start
-        write_json(
-            os.path.join(out, "timing.json"),
-            {"config_hash": config_hash(config), "seconds": stage_times},
-        )
-    except CliError:
-        raise
-    except Exception as e:
-        raise CliError(stage, e) from e
+                    "repeat": o.repeat,
+                    "val_idx": o.val.tolist(),
+                    "test_idx": o.test.tolist(),
+                },
+            )
+    stage_times["atlas"] = time.perf_counter() - t0
+
+    yield "report"
+    results = {
+        "dataset": {
+            "name": bundle.name,
+            "n": bundle.graph.n,
+            "d": int(bundle.X.shape[1]),
+            "edges": bundle.graph.n_edges,
+            "n_classes": len(bundle.label_map),
+            "labeled": int(np.sum(bundle.y >= 0)),
+            "label_map": bundle.label_map,
+        },
+        "config": config.to_dict(),
+        "config_hash": c_hash,
+        "code_version": PACKAGE_VERSION,
+        "accuracy_mean": summary["mean"],
+        "accuracy_std": summary["std"],
+        "repeats": [
+            {
+                "repeat": o.repeat,
+                "seed": o.seed,
+                "val_accuracy": o.val_accuracy,
+                "test_accuracy": o.test_accuracy,
+                "selected_config": o.config.to_dict(),
+                "sizes": {
+                    "train": int(o.train.size),
+                    "val": int(o.val.size),
+                    "test": int(o.test.size),
+                },
+            }
+            for o in outcomes
+        ],
+    }
+    write_json(os.path.join(out, "results.json"), results)
+    stage_times["total"] = time.perf_counter() - t_start
+    write_json(
+        os.path.join(out, "timing.json"),
+        {"config_hash": c_hash, "seconds": stage_times},
+    )
     print(
         f"run complete: mean accuracy {summary['mean']:.4f}"
         + (f" +- {summary['std']:.4f}" if summary["std"] is not None else "")
         + f" over {len(outcomes)} repeats -> {out}"
     )
-    return 0
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args):
     out = args.out
-    os.makedirs(out, exist_ok=True)
-    stage = "load-dataset"
-    try:
-        bundle = load_dataset(args.edges, args.features, args.labels, name=args.name)
-        config = dataclasses.replace(_run_config(args, out), name=bundle.name)
-        wanted = (
-            [variant_by_name(t.strip()) for t in args.variants.split(",") if t.strip()]
-            if args.variants
-            else list(VARIANTS)
+    yield "load-dataset"
+    bundle = load_dataset(args.edges, args.features, args.labels, name=args.name)
+    wanted = (
+        [variant_by_name(t.strip()) for t in args.variants.split(",") if t.strip()]
+        if args.variants
+        else list(VARIANTS)
+    )
+    yield "configure"
+    config = _run_config(args, bundle.name)
+    names = {v.name for v in wanted}
+    paired = "full" in names and len(names) > 1
+    if paired and config.repeats < 2:
+        raise ValueError(
+            f"--repeats {config.repeats}: the paired comparison with 'full' "
+            "needs at least 2 repeats"
         )
 
-        stage = "evaluate-variants"
-        results = run_variants(
-            bundle.graph,
-            bundle.X,
-            bundle.y,
-            config.split,
-            variants=wanted,
-            n_repeats=config.repeats,
-            grids=config.grids,
-            fisher_mode=config.fisher_mode,
-            keep_scaffolds=False,
-        )
-        table = ablation_table(results)
+    yield "evaluate-variants"
+    results = run_variants(
+        bundle.graph,
+        bundle.X,
+        bundle.y,
+        config.split,
+        variants=wanted,
+        n_repeats=config.repeats,
+        grids=config.grids,
+        fisher_mode=config.fisher_mode,
+        keep_scaffolds=False,
+    )
+    table = ablation_table(results)
 
-        stage = "report"
-        meta = report_meta(config)
-        n_rep = config.repeats
-        header = (
-            ["variant"]
-            + [f"acc_{i}" for i in range(n_rep)]
-            + ["mean", "std", "rank"]
-        )
-        lines = ["# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta))]
-        lines.append(",".join(header))
-        for row in table:
-            cells = [row["variant"]]
-            cells += [f"{a:.10g}" for a in row["accuracies"]]
-            cells += [
-                f"{row['mean']:.10g}",
-                "" if row["std"] is None else f"{row['std']:.10g}",
-                str(row["rank"]),
-            ]
-            lines.append(",".join(cells))
-        with open(os.path.join(out, "ablation_report.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    yield "report"
+    meta = report_meta(config_hash(config), config.split.mode)
+    header = (
+        ["variant"]
+        + [f"acc_{i}" for i in range(config.repeats)]
+        + ["mean", "std", "rank"]
+    )
+    lines = [meta_line(meta), ",".join(header)]
+    for row in table:
+        cells = [row["variant"]]
+        cells += [f"{a:.10g}" for a in row["accuracies"]]
+        cells += [
+            f"{row['mean']:.10g}",
+            "" if row["std"] is None else f"{row['std']:.10g}",
+            str(row["rank"]),
+        ]
+        lines.append(",".join(cells))
+    with open(os.path.join(out, "ablation_report.csv"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
-        payload = {"meta": meta, "variants": table}
-        if "full" in results and len(results) > 1:
-            payload["paired_vs_full"] = {
-                name: dataclasses.asdict(compare_runs(res, results["full"]))
-                for name, res in results.items()
-                if name != "full"
-            }
-        write_json(os.path.join(out, "ablation_report.json"), payload)
-    except CliError:
-        raise
-    except Exception as e:
-        raise CliError(stage, e) from e
+    payload = {"meta": meta, "variants": table}
+    if paired:
+        payload["paired_vs_full"] = {
+            name: dataclasses.asdict(compare_runs(res, results["full"]))
+            for name, res in results.items()
+            if name != "full"
+        }
+    write_json(os.path.join(out, "ablation_report.json"), payload)
     best = min(table, key=lambda r: r["rank"])
     print(
         f"ablation complete: {len(table)} variants, best {best['variant']} "
         f"(mean {best['mean']:.4f}) -> {out}"
     )
-    return 0
 
 
-def cmd_prototype(args) -> int:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    stage = "load-dataset"
-    try:
-        bundle = load_dataset(
-            args.edges, args.features, args.labels, name=args.name
+def cmd_prototype(args):
+    yield "load-dataset"
+    bundle = load_dataset(args.edges, args.features, args.labels, name=args.name)
+    g = bundle.graph
+    yield f"prototype-{args.method}"
+    if args.method == "knn":
+        g2, added = mutual_knn_densify(g, bundle.X, args.k)
+        info = {
+            "method": "mutual-cosine-knn",
+            "parameters": {"k": args.k},
+            "edges_before": g.n_edges,
+            "edges_after": g2.n_edges,
+            "edges_added": added,
+        }
+    else:
+        g2, swap_info = degree_preserving_rewire(
+            g, args.fraction, seed=args.proto_seed, fallback_dropout=args.fallback_dropout
         )
-        g = bundle.graph
-        stage = f"prototype-{args.method}"
-        if args.method == "knn":
-            g2, added = mutual_knn_densify(g, bundle.X, args.k)
-            info = {
-                "method": "mutual-cosine-knn",
-                "parameters": {"k": args.k},
-                "edges_before": g.n_edges,
-                "edges_after": g2.n_edges,
-                "edges_added": added,
-            }
-        else:
-            g2, swap_info = degree_preserving_rewire(
-                g, args.fraction, seed=args.proto_seed, fallback_dropout=args.fallback_dropout
-            )
-            info = {
-                "method": swap_info["method"],
-                "parameters": {
-                    "fraction": args.fraction,
-                    "fallback_dropout": args.fallback_dropout,
-                },
-                "seed": args.proto_seed,
-                "edges_before": g.n_edges,
-                "edges_after": g2.n_edges,
-                "swaps": swap_info["swaps"],
-                "target_swaps": swap_info["target"],
-                "attempts": swap_info["attempts"],
-            }
-        stage = "write"
-        edge_path = os.path.join(out, "processed_edges.csv")
-        save_edge_list(edge_path, g2.edges)
-        save_edge_provenance(
-            os.path.join(out, "processed_edges.json"),
-            dict(info, dataset=bundle.name, code_version=PACKAGE_VERSION),
-        )
-    except CliError:
-        raise
-    except Exception as e:
-        raise CliError(stage, e) from e
+        info = {
+            "method": swap_info["method"],
+            "parameters": {
+                "fraction": args.fraction,
+                "fallback_dropout": args.fallback_dropout,
+            },
+            "seed": args.proto_seed,
+            "edges_before": g.n_edges,
+            "edges_after": g2.n_edges,
+            "swaps": swap_info["swaps"],
+            "target_swaps": swap_info["target"],
+            "attempts": swap_info["attempts"],
+        }
+    yield "write"
+    edge_path = os.path.join(args.out, "processed_edges.csv")
+    save_edge_list(edge_path, g2.edges)
+    save_edge_provenance(
+        os.path.join(args.out, "processed_edges.json"),
+        dict(info, dataset=bundle.name, code_version=PACKAGE_VERSION),
+    )
     print(
         f"prototype complete: {info['method']} "
         f"{info['edges_before']} -> {info['edges_after']} edges -> {edge_path}"
     )
-    return 0
 
 
-def _atlas_like(args) -> int:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    stage = "load-dataset"
-    try:
-        bundle = load_dataset(args.edges, args.features, args.labels, name=args.name)
-        stage = "load-snapshot"
-        with open(args.snapshot, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        scaffold = load_snapshot(args.snapshot, bundle.graph, bundle.X)
-        extra = raw.get("extra", {})
+def _atlas_like(args):
+    yield "load-dataset"
+    bundle = load_dataset(args.edges, args.features, args.labels, name=args.name)
+    yield "load-snapshot"
+    with open(args.snapshot, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    scaffold = load_snapshot(args.snapshot, bundle.graph, bundle.X)
+    extra = raw.get("extra", {})
 
-        stage = "select-eval-nodes"
-        if args.eval_nodes:
-            eval_idx = np.loadtxt(args.eval_nodes, dtype=np.int64, ndmin=1)
+    yield "select-eval-nodes"
+    if args.eval_nodes:
+        eval_idx = np.loadtxt(args.eval_nodes, dtype=np.int64, ndmin=1)
+    else:
+        key = {"train": None, "val": "val_idx", "test": "test_idx"}[args.eval]
+        if key is None:
+            eval_idx = scaffold.train_idx
+        elif key in extra:
+            eval_idx = np.asarray(extra[key], dtype=np.int64)
         else:
-            key = {"train": None, "val": "val_idx", "test": "test_idx"}[args.eval]
-            if key is None:
-                eval_idx = scaffold.train_idx
-            elif key in extra:
-                eval_idx = np.asarray(extra[key], dtype=np.int64)
-            else:
-                raise CliError(
-                    stage,
-                    f"snapshot lacks {key}; pass --eval-nodes with explicit ids",
-                )
+            raise ValueError(f"snapshot lacks {key}; pass --eval-nodes with explicit ids")
 
-        stage = "atlas"
-        records = node_atlas(scaffold, eval_idx, bundle.y, bundle.graph.degree)
-        fp = dataset_fingerprint(records, scaffold.subspaces)
-        blob = json.dumps(scaffold.config.to_dict(), sort_keys=True)
-        meta = {
-            "config_hash": hashlib.sha256(blob.encode()).hexdigest()[:16],
-            "code_version": PACKAGE_VERSION,
-            "std_mode": STD_MODE,
-            "epsilon": EPSILON,
-            "split_mode": extra.get("split_mode", "unspecified"),
-        }
-        emit_figure_data(
-            records,
-            fp,
-            out,
-            subspaces=scaffold.subspaces,
-            dataset_name=bundle.name,
-            split_mode=meta["split_mode"],
-            meta=meta,
-        )
-    except CliError:
-        raise
-    except Exception as e:
-        raise CliError(stage, e) from e
+    yield "atlas"
+    records = node_atlas(scaffold, eval_idx, bundle.y, bundle.graph.degree)
+    fp = dataset_fingerprint(records, scaffold.subspaces)
+    # the run that wrote the snapshot stamped its provenance into extra
+    meta = report_meta(
+        extra.get("config_hash", "unspecified"), extra.get("split_mode", "unspecified")
+    )
+    emit_figure_data(
+        records,
+        fp,
+        args.out,
+        subspaces=scaffold.subspaces,
+        dataset_name=bundle.name,
+        split_mode=meta["split_mode"],
+        meta=meta,
+    )
     print(
         f"atlas complete: {len(records)} nodes, accuracy {fp.accuracy:.4f}, "
         f"shares raw/low/high = {100 * fp.raw_share:.2f}/"
-        f"{100 * fp.low_share:.2f}/{100 * fp.high_share:.2f} -> {out}"
+        f"{100 * fp.low_share:.2f}/{100 * fp.high_share:.2f} -> {args.out}"
     )
-    return 0
 
 
-def cmd_paired(args) -> int:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    stage = "load-results"
-    try:
-        if args.deltas is not None:
-            result = paired_stats(args.deltas)
-            inputs = {"deltas": list(args.deltas)}
-        else:
-            if not (args.a and args.b):
-                raise CliError(stage, "need --a and --b result files (or --deltas)")
-            with open(args.a) as fh:
-                ra = json.load(fh)
-            with open(args.b) as fh:
-                rb = json.load(fh)
-            acc_a = [r["test_accuracy"] for r in ra["repeats"]]
-            acc_b = [r["test_accuracy"] for r in rb["repeats"]]
-            if len(acc_a) != len(acc_b):
-                raise CliError(stage, "result files have different repeat counts")
-            stage = "paired-stats"
-            result = paired_stats(
-                [100.0 * (a - b) for a, b in zip(acc_a, acc_b)]
-            )
-            inputs = {
-                "a": {"path": str(args.a), "config_hash": ra.get("config_hash")},
-                "b": {"path": str(args.b), "config_hash": rb.get("config_hash")},
-            }
-        stage = "report"
-        write_json(
-            os.path.join(out, "paired_report.json"),
-            {
-                "inputs": inputs,
-                "code_version": PACKAGE_VERSION,
-                "result": dataclasses.asdict(result),
-            },
-        )
-    except CliError:
-        raise
-    except Exception as e:
-        raise CliError(stage, e) from e
+def cmd_paired(args):
+    yield "load-results"
+    if args.deltas is not None:
+        result = paired_stats(args.deltas)
+        inputs = {"deltas": list(args.deltas)}
+    else:
+        if not (args.a and args.b):
+            raise ValueError("need --a and --b result files (or --deltas)")
+        with open(args.a) as fh:
+            ra = json.load(fh)
+        with open(args.b) as fh:
+            rb = json.load(fh)
+        runs = [
+            [SimpleNamespace(test_accuracy=r["test_accuracy"]) for r in res["repeats"]]
+            for res in (ra, rb)
+        ]
+        yield "paired-stats"
+        result = compare_runs(*runs)
+        inputs = {
+            "a": {"path": str(args.a), "config_hash": ra.get("config_hash")},
+            "b": {"path": str(args.b), "config_hash": rb.get("config_hash")},
+        }
+    yield "report"
+    write_json(
+        os.path.join(args.out, "paired_report.json"),
+        {
+            "inputs": inputs,
+            "code_version": PACKAGE_VERSION,
+            "result": dataclasses.asdict(result),
+        },
+    )
     print(
         f"paired comparison: n={result.n} mean={result.mean:+.3f} pp, "
         f"t p={result.t_p:.4f}, Wilcoxon p={result.wilcoxon_p:.4f}, "
-        f"sign p={result.sign_p:.4f} -> {out}"
+        f"sign p={result.sign_p:.4f} -> {args.out}"
     )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -554,11 +509,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    os.makedirs(args.out, exist_ok=True)
+    stage = None
     try:
-        return args.fn(args)
-    except CliError as e:
-        print(f"graphsig {args.verb}: {e}", file=sys.stderr)
+        for stage in args.fn(args):
+            pass
+    except Exception as e:
+        print(f"graphsig {args.verb}: stage {stage}: {e}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conventions import EPSILON, FORMAT_VERSION, PACKAGE_VERSION, STD_MODE
+from .conventions import FORMAT_VERSION, PACKAGE_VERSION, STD_MODE, conventions
 from .dictionary import BLOCK_NAMES, build_dictionary
 from .fisher import FisherSelection, restrict
 from .graph import build_graph, load_edge_list
@@ -173,7 +173,6 @@ class DatasetBundle:
     y: np.ndarray
     name: str
     label_map: dict
-    notes: dict = field(default_factory=dict)
 
 
 def load_dataset(edges_path, features_path, labels_path=None, name=None, quiet=False) -> DatasetBundle:
@@ -197,14 +196,7 @@ def load_dataset(edges_path, features_path, labels_path=None, name=None, quiet=F
             f"{name}: n={n} d={X.shape[1]} edges={g.n_edges} "
             f"classes={n_classes} labeled={int(np.sum(y >= 0))}"
         )
-    return DatasetBundle(
-        graph=g,
-        X=X,
-        y=y,
-        name=name,
-        label_map=label_map,
-        notes={"edges_path": str(edges_path), "features_path": str(features_path)},
-    )
+    return DatasetBundle(graph=g, X=X, y=y, name=name, label_map=label_map)
 
 
 # ---------------------------------------------------------------- run config
@@ -221,7 +213,6 @@ class RunConfig:
     active_blocks: tuple = BLOCK_NAMES
     fisher_mode: str = "train"
     snapshots: str = "first"  # none | first | all
-    out_dir: str = "out"
 
     def to_dict(self) -> dict:
         return {
@@ -232,24 +223,27 @@ class RunConfig:
             "active_blocks": list(self.active_blocks),
             "fisher_mode": self.fisher_mode,
             "snapshots": self.snapshots,
-            "conventions": {"std_mode": STD_MODE, "epsilon": EPSILON},
+            "conventions": conventions(),
         }
 
 
 def config_hash(config: RunConfig) -> str:
+    """The run-configuration hash every report's provenance stamp carries."""
     blob = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def report_meta(config: RunConfig) -> dict:
-    """The audit fields every emitted file carries."""
-    return {
-        "config_hash": config_hash(config),
-        "code_version": PACKAGE_VERSION,
-        "std_mode": STD_MODE,
-        "epsilon": EPSILON,
-        "split_mode": config.split.mode,
-    }
+def report_meta(config_hash: str, split_mode: str) -> dict:
+    """The audit fields every emitted file carries; ``config_hash`` is
+    ``config_hash(RunConfig)`` of the run that produced the report."""
+    return dict(
+        conventions(split_mode), config_hash=config_hash, code_version=PACKAGE_VERSION
+    )
+
+
+def meta_line(meta: dict) -> str:
+    """The '# k=v ...' first line of every report CSV."""
+    return "# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta))
 
 
 def jsonable(obj):

@@ -18,7 +18,7 @@ from scipy import stats as sps
 
 from .dictionary import BLOCK_NAMES
 from .graph import build_graph
-from .scaffold import SearchGrids, evaluate_repeats
+from .scaffold import SearchGrids, evaluate_repeats, summarize_repeats
 
 _ALL = BLOCK_NAMES
 
@@ -88,12 +88,10 @@ def run_variants(g, X, y, split_template, variants=VARIANTS, n_repeats=10, grids
 
 def ablation_table(results: dict):
     """Rows of (name, per-repeat accs, mean, std, rank), rank 1 = best mean."""
-    rows = []
-    for name, outcomes in results.items():
-        accs = [o.test_accuracy for o in outcomes]
-        mean = float(np.mean(accs))
-        std = float(np.std(accs, ddof=1)) if len(accs) > 1 else None
-        rows.append({"variant": name, "accuracies": accs, "mean": mean, "std": std})
+    rows = [
+        dict(variant=name, **summarize_repeats(outcomes))
+        for name, outcomes in results.items()
+    ]
     order = sorted(rows, key=lambda r: -r["mean"])
     ranks = {id(r): i + 1 for i, r in enumerate(order)}
     for r in rows:

@@ -123,8 +123,6 @@ def make_split(y, spec: SplitSpec):
     for c in np.unique(y[labeled]):
         members = labeled[y[labeled] == c]
         n_c = members.shape[0]
-        if n_c < 1:
-            raise ValueError(f"class {c} cannot supply 1 train node")
         perm = members[rng.permutation(n_c)]
         if spec.mode == "per-class":
             t_req, v_req = spec.train_per_class, spec.val_per_class
@@ -365,16 +363,28 @@ def evaluate_repeats(
 
     Repeat i uses seed = template seed + i.  Test labels are touched only
     by the final accuracy computation; selection sees train and val only.
+    Every split is drawn, and checked to hold test nodes, before any
+    evaluation starts.
     """
     if fisher_mode not in ("train", "train+val"):
         raise ValueError(f"unknown fisher_mode {fisher_mode!r}")
+    if n_repeats < 1:
+        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
     y = np.asarray(y)
-    dictionary = build_dictionary(g, X, active_blocks)
-    outcomes = []
+    splits = []
     for rep in range(n_repeats):
         seed = split_template.seed + rep
         spec = dataclasses.replace(split_template, seed=seed, repeat=rep)
         train, val, test = make_split(y, spec)
+        if test.size == 0:
+            raise ValueError(
+                f"repeat {rep} (seed {seed}) has no test nodes: the split "
+                "gives every labeled node to train or val"
+            )
+        splits.append((rep, seed, train, val, test))
+    dictionary = build_dictionary(g, X, active_blocks)
+    outcomes = []
+    for rep, seed, train, val, test in splits:
         fisher_idx = (
             train if fisher_mode == "train" else np.sort(np.concatenate([train, val]))
         )

@@ -66,7 +66,9 @@ def class_svds(F_tr: np.ndarray, y_tr) -> list:
             Vt = np.zeros((0, K))
         else:
             _, svals, Vt = np.linalg.svd(rows - center, full_matrices=False)
-            if svals.size and svals[0] > 0:
+            # a spread whose energy underflows is zero variance too: the
+            # energy fractions would be 0/0
+            if svals.size and svals[0] ** 2 >= np.finfo(np.float64).tiny:
                 svals = svals[svals > RANK_CUTOFF * svals[0]]
             else:
                 svals = svals[:0]

@@ -459,3 +459,75 @@ def test_cli_error_paths(disk_dataset, tmp_path, capsys):
     ])
     assert code == 2
     assert "unknown block" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def bare_snapshot(disk_dataset, tmp_path_factory):
+    g, X, y = disk_dataset["g"], disk_dataset["X"], disk_dataset["y"]
+    train, _, _ = make_split(y, SplitSpec(train_per_class=8, val_per_class=5))
+    sc = fit(g, X, y, train, HyperConfig(k=10, r_max=2, eta=0.9, alphas=(1.0,), w=0.5))
+    path = str(tmp_path_factory.mktemp("snap") / "bare.json")
+    save_snapshot(path, sc)  # no extra: no recorded val/test indices
+    return path
+
+
+DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"]
+
+
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        pytest.param(
+            ["run", "--edges", "{edges}", "--features", "{missing}", "--labels", "{labels}"],
+            "load-dataset",
+            id="missing-features",
+        ),
+        pytest.param(["run", *DATA, "--blocks", "X,Bogus"], "configure", id="unknown-block"),
+        pytest.param(
+            ["run", *DATA, "--split-mode", "fraction", "--fractions", "0.5,0.5"],
+            "configure",
+            id="two-fractions",
+        ),
+        pytest.param(
+            ["fingerprint", *DATA, "--snapshot", "{bare}", "--eval", "val"],
+            "select-eval-nodes",
+            id="snapshot-without-val",
+        ),
+        pytest.param(["paired"], "load-results", id="paired-without-inputs"),
+        pytest.param(["run", *DATA, "--repeats", "0"], "evaluate", id="zero-repeats"),
+        # the default 20 train / 30 val request leaves 25-member classes no test node
+        pytest.param(["run", *DATA, "--repeats", "1"], "evaluate", id="split-without-test"),
+        pytest.param(
+            ["ablate", *DATA, "--repeats", "1", "--variants", "full,raw_only"],
+            "configure",
+            id="ablate-one-repeat-paired",
+        ),
+    ],
+)
+def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, capsys):
+    paths = dict(disk_dataset, missing=str(tmp_path / "missing.csv"), bare=bare_snapshot)
+    out = tmp_path / "out"
+    code = main([a.format(**paths) for a in argv] + ["--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"graphsig {argv[0]}: stage {stage}: ")
+    assert os.listdir(out) == []  # failed before writing any report
+
+
+def test_cli_snapshot_verbs_stamp_the_run_config_hash(run_out, disk_dataset, tmp_path):
+    with open(os.path.join(run_out, "results.json")) as fh:
+        want = json.load(fh)["config_hash"]
+    out = str(tmp_path / "fp")
+    code = main([
+        "fingerprint",
+        "--edges", disk_dataset["edges"], "--features", disk_dataset["features"],
+        "--labels", disk_dataset["labels"],
+        "--snapshot", os.path.join(run_out, "repeat_00", "snapshot.json"),
+        "--out", out,
+    ])
+    assert code == 0
+    with open(os.path.join(out, "fingerprint.json")) as fh:
+        assert json.load(fh)["meta"]["config_hash"] == want
+    with open(os.path.join(out, "atlas.csv")) as fh:
+        assert f"config_hash={want}" in fh.readline().split()

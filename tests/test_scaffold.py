@@ -239,6 +239,22 @@ def test_evaluate_repeats_fisher_mode():
         evaluate_repeats(g, X, y, spec, n_repeats=1, grids=grids, fisher_mode="test")
 
 
+def test_evaluate_repeats_rejects_unreportable_runs(monkeypatch):
+    g, X, y = small_dataset()
+    grids = SearchGrids(ks=(15,), r_maxs=(2,), etas=(0.9,), alpha_sets=((1.0,),), ws=(0.4,))
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluation started")
+
+    monkeypatch.setattr("graphsig.scaffold.build_dictionary", no_evaluation)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n_repeats must be >= 1"):
+            evaluate_repeats(g, X, y, SplitSpec(), n_repeats=n, grids=grids)
+    # 30-member classes under the default 20/30 request keep no test node
+    with pytest.raises(ValueError, match="repeat 0 .* no test nodes"):
+        evaluate_repeats(g, X, y, SplitSpec(), n_repeats=2, grids=grids)
+
+
 def test_accuracy_helper():
     assert accuracy([1, 2, 3], [1, 2, 4]) == pytest.approx(2 / 3)
     assert np.isnan(accuracy([], []))

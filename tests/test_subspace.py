@@ -108,6 +108,17 @@ def test_zero_variance_class():
     assert R[0, 0] == pytest.approx(1.0)  # plain distance to the center
 
 
+@pytest.mark.filterwarnings("error")
+def test_underflowing_class_spread_is_zero_variance():
+    # distinct rows whose squared singular values underflow to 0 must not
+    # reach the energy rule's 0/0
+    F_tr = np.array([[0.0, 0.0], [1e-304, 0.0], [0.0, 2e-304]])
+    subs = fit_class_subspaces(F_tr, np.zeros(3, dtype=int), r_max=3, eta=0.9)
+    assert subs[0].r == 0
+    assert np.isfinite(subs[0].energy_fraction)
+    assert np.all(np.isfinite(pca_residuals(np.vstack([F_tr, [[1.0, 1.0]]]), subs)))
+
+
 def test_single_member_class():
     F_tr = np.array([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
     y_tr = np.array([0, 0, 1])
