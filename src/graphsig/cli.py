@@ -139,6 +139,17 @@ def _blocks(args):
     return names
 
 
+def _variants(args):
+    if not args.variants:
+        return list(VARIANTS)
+    names = tuple(t.strip() for t in args.variants.split(",") if t.strip())
+    known = tuple(v.name for v in VARIANTS)
+    for t in names:
+        if t not in known:
+            raise ValueError(f"unknown variant {t!r}; known: {', '.join(known)}")
+    return [variant_by_name(t) for t in names]
+
+
 def _run_config(args, name) -> RunConfig:
     return RunConfig(
         name=name,
@@ -263,13 +274,9 @@ def cmd_ablate(args):
     out = args.out
     yield "load-dataset"
     bundle = load_dataset(args.edges, args.features, args.labels, name=args.name)
-    wanted = (
-        [variant_by_name(t.strip()) for t in args.variants.split(",") if t.strip()]
-        if args.variants
-        else list(VARIANTS)
-    )
     yield "configure"
     config = _run_config(args, bundle.name)
+    wanted = _variants(args)
     names = {v.name for v in wanted}
     paired = "full" in names and len(names) > 1
     if paired and config.repeats < 2:
@@ -375,10 +382,8 @@ def _atlas_like(args):
     yield "load-dataset"
     bundle = load_dataset(args.edges, args.features, args.labels, name=args.name)
     yield "load-snapshot"
-    with open(args.snapshot, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
     scaffold = load_snapshot(args.snapshot, bundle.graph, bundle.X)
-    extra = raw.get("extra", {})
+    extra = scaffold.extra
 
     yield "select-eval-nodes"
     if args.eval_nodes:

@@ -2,10 +2,11 @@
 
 Blocks, in fixed order: the raw features X; the low-pass propagations
 P_row X, P_row^2 X, P_row^3 X, P_sym X, P_sym^2 X; and the high-pass
-differences X - P_row X, P_row X - P_row^2 X, X - P_sym X.  Differences
-are formed from the un-normalized propagated matrices; every block is
-then row-L2 normalized independently and the active blocks are
-concatenated columnwise.  Each output coordinate remembers which block
+differences X - P_row X, P_row X - P_row^2 X, X - P_sym X.  Each block's
+recipe in ``BLOCKS`` names a power P^a X of one operator, or a
+difference P^a X - P^b X formed from the un-normalized powers; every
+block is then row-L2 normalized independently and the active blocks are
+placed side by side.  Each output coordinate remembers which block
 it came from, which is what the downstream evidence decomposition runs
 on.
 """
@@ -22,19 +23,23 @@ class BlockId:
     index: int
     name: str
     family: str  # raw | low | high
+    operator: str  # row | sym: the P of the recipe
+    powers: tuple  # (a,): the block is P^a X; (a, b): P^a X - P^b X; P^0 X = X
 
 
 BLOCKS = (
-    BlockId(0, "X", "raw"),
-    BlockId(1, "ProwX", "low"),
-    BlockId(2, "Prow2X", "low"),
-    BlockId(3, "Prow3X", "low"),
-    BlockId(4, "X-ProwX", "high"),
-    BlockId(5, "ProwX-Prow2X", "high"),
-    BlockId(6, "PsymX", "low"),
-    BlockId(7, "Psym2X", "low"),
-    BlockId(8, "X-PsymX", "high"),
+    BlockId(0, "X", "raw", "row", (0,)),
+    BlockId(1, "ProwX", "low", "row", (1,)),
+    BlockId(2, "Prow2X", "low", "row", (2,)),
+    BlockId(3, "Prow3X", "low", "row", (3,)),
+    BlockId(4, "X-ProwX", "high", "row", (0, 1)),
+    BlockId(5, "ProwX-Prow2X", "high", "row", (1, 2)),
+    BlockId(6, "PsymX", "low", "sym", (1,)),
+    BlockId(7, "Psym2X", "low", "sym", (2,)),
+    BlockId(8, "X-PsymX", "high", "sym", (0, 1)),
 )
+
+_OPERATORS = {"row": row_operator, "sym": sym_operator}
 
 BLOCK_NAMES = tuple(b.name for b in BLOCKS)
 FAMILIES = ("raw", "low", "high")
@@ -76,21 +81,13 @@ class SignalDictionary:
         return self.F0.shape[1]
 
 
-def _row_l2_normalize(M: np.ndarray) -> np.ndarray:
-    # zero rows stay zero: no epsilon inflation of no-evidence rows
-    norms = np.linalg.norm(M, axis=1)
-    scale = np.zeros_like(norms)
-    nz = norms > 0
-    scale[nz] = 1.0 / norms[nz]
-    return M * scale[:, None]
-
-
 def build_dictionary(g: SparseGraph, X: np.ndarray, active_blocks=None) -> SignalDictionary:
     """Build the dictionary for the given active block subset (default: all nine).
 
-    Computes the propagated matrices by iterated sparse products, forms
-    difference blocks from the un-normalized propagations, row-normalizes
-    each block, and concatenates in canonical block order.
+    Computes each operator power the active blocks' recipes need once, by
+    iterated sparse products, forms difference blocks from the
+    un-normalized powers, and writes each row-normalized block into its
+    column range of F0, in canonical block order.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != g.n:
@@ -109,57 +106,28 @@ def build_dictionary(g: SparseGraph, X: np.ndarray, active_blocks=None) -> Signa
     if not active:
         raise ValueError("active_blocks must be nonempty")
 
-    names = {b.name for b in active}
-    need_row = 0
-    if names & {"ProwX", "X-ProwX"}:
-        need_row = 1
-    if names & {"Prow2X", "ProwX-Prow2X"}:
-        need_row = 2
-    if "Prow3X" in names:
-        need_row = 3
-    need_sym = 0
-    if names & {"PsymX", "X-PsymX"}:
-        need_sym = 1
-    if "Psym2X" in names:
-        need_sym = 2
+    # each operator power the active recipes name, computed once
+    power = {}
+    for op, make in _OPERATORS.items():
+        power[op, 0] = X
+        top = max((max(b.powers) for b in active if b.operator == op), default=0)
+        if top:
+            P = make(g)
+            for k in range(1, top + 1):
+                power[op, k] = propagate(P, power[op, k - 1])
 
-    row_pows = {}
-    if need_row:
-        P = row_operator(g)
-        cur = X
-        for k in range(1, need_row + 1):
-            cur = propagate(P, cur)
-            row_pows[k] = cur
-    sym_pows = {}
-    if need_sym:
-        Q = sym_operator(g)
-        cur = X
-        for k in range(1, need_sym + 1):
-            cur = propagate(Q, cur)
-            sym_pows[k] = cur
-
-    raw_block = {
-        "X": lambda: X,
-        "ProwX": lambda: row_pows[1],
-        "Prow2X": lambda: row_pows[2],
-        "Prow3X": lambda: row_pows[3],
-        "X-ProwX": lambda: X - row_pows[1],
-        "ProwX-Prow2X": lambda: row_pows[1] - row_pows[2],
-        "PsymX": lambda: sym_pows[1],
-        "Psym2X": lambda: sym_pows[2],
-        "X-PsymX": lambda: X - sym_pows[1],
-    }
-
-    parts = []
-    coord_block = []
     d = X.shape[1]
-    for b in active:
-        parts.append(_row_l2_normalize(raw_block[b.name]()))
-        coord_block.extend([b.index] * d)
-    F0 = np.concatenate(parts, axis=1)
-    return SignalDictionary(
-        F0=F0, coord_block=np.array(coord_block, dtype=np.int64), d=d, active=active
-    )
+    F0 = np.empty((g.n, len(active) * d))
+    for pos, b in enumerate(active):
+        terms = [power[b.operator, k] for k in b.powers]
+        block = terms[0] - terms[1] if len(terms) == 2 else terms[0]
+        # row-L2 normalize; zero rows stay zero: no epsilon inflation of
+        # no-evidence rows
+        norms = np.linalg.norm(block, axis=1)
+        scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+        np.multiply(block, scale[:, None], out=F0[:, pos * d : (pos + 1) * d])
+    coord_block = np.repeat(np.array([b.index for b in active], dtype=np.int64), d)
+    return SignalDictionary(F0=F0, coord_block=coord_block, d=d, active=active)
 
 
 def block_slice(dictionary: SignalDictionary, b) -> np.ndarray:

@@ -26,7 +26,6 @@ class FisherSelection:
     selected: np.ndarray  # sorted coordinate indices, len K_eff
     k_requested: int
     k_eff: int
-    epsilon: float
 
 
 def fisher_scores(dictionary, train_idx, y, epsilon: float = EPSILON) -> np.ndarray:
@@ -50,7 +49,7 @@ def fisher_scores(dictionary, train_idx, y, epsilon: float = EPSILON) -> np.ndar
     return between / (within + epsilon)
 
 
-def select_top_k(scores: np.ndarray, k: int, epsilon: float = EPSILON) -> FisherSelection:
+def select_top_k(scores: np.ndarray, k: int) -> FisherSelection:
     """Deterministic top-K selection: score descending, index ascending on ties."""
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
@@ -65,7 +64,6 @@ def select_top_k(scores: np.ndarray, k: int, epsilon: float = EPSILON) -> Fisher
         selected=selected.astype(np.int64),
         k_requested=int(k),
         k_eff=int(k_eff),
-        epsilon=float(epsilon),
     )
 
 

@@ -330,7 +330,11 @@ def save_snapshot(path, scaffold: FittedScaffold, extra=None) -> None:
 
 
 def load_snapshot(path, g, X) -> FittedScaffold:
-    """Rebuild a predict-ready scaffold from a snapshot plus its dataset."""
+    """Rebuild a predict-ready scaffold from a snapshot plus its dataset.
+
+    The snapshot's ``extra`` dict (empty when absent) comes back as the
+    scaffold's ``extra``, so callers need not parse the file again.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("kind") != "fitted-scaffold":
@@ -355,7 +359,6 @@ def load_snapshot(path, g, X) -> FittedScaffold:
         selected=selected,
         k_requested=config.k,
         k_eff=int(selected.shape[0]),
-        epsilon=float(payload["epsilon"]),
     )
     F, blocks = restrict(dictionary, selected)
     train_idx = np.asarray(payload["train_idx"], dtype=np.int64)
@@ -389,4 +392,5 @@ def load_snapshot(path, g, X) -> FittedScaffold:
         train_idx=train_idx,
         F=F,
         epsilon=float(payload["epsilon"]),
+        extra=payload.get("extra", {}),
     )

@@ -10,6 +10,7 @@ approximation past n=20), one-sample t-test, effect size, and a
 t-based 95% confidence interval.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -60,13 +61,7 @@ def run_variant(
     so every variant run from the same template is pair-aligned."""
     grids = grids if grids is not None else SearchGrids()
     if variant.ws is not None:
-        grids = SearchGrids(
-            ks=grids.ks,
-            r_maxs=grids.r_maxs,
-            etas=grids.etas,
-            alpha_sets=grids.alpha_sets,
-            ws=variant.ws,
-        )
+        grids = dataclasses.replace(grids, ws=variant.ws)
     return evaluate_repeats(
         g,
         X,

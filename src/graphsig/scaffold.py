@@ -11,7 +11,9 @@ with argmin ties broken by ascending class id.  Hyperparameters are
 selected by validation accuracy over the default grids (K, r_max, eta,
 alpha set, w), enumerated in deterministic lexicographic order; work
 shared by a grid level runs once at that level, and points that
-provably repeat an earlier point's validation scores are skipped.
+provably repeat an earlier point's validation scores are skipped.  The
+search is the one fit path: it assembles the scaffold at its winning
+point, and ``fit`` is the search over a one-point grid.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ from .conventions import EPSILON
 from .dictionary import BLOCK_NAMES, build_dictionary
 from .fisher import fisher_scores, restrict, select_top_k
 from .ridge import fit_ridge, ridge_scores
-from .subspace import class_svds, fit_class_subspaces, pca_residuals, truncate_subspaces
+from .subspace import class_svds, pca_residuals, truncate_subspaces
 
 DEFAULT_K_GRID = (4000, 5000, 6000, 8000)
 DEFAULT_RMAX_GRID = (32, 48, 64, 96)
@@ -159,6 +161,7 @@ class FittedScaffold:
     train_idx: np.ndarray
     F: np.ndarray  # full n x K_eff selected matrix
     epsilon: float = EPSILON
+    extra: dict = field(default_factory=dict)  # a loaded snapshot's "extra"
 
 
 def _onehot(y_tr, classes) -> np.ndarray:
@@ -169,43 +172,22 @@ def _onehot(y_tr, classes) -> np.ndarray:
 
 
 def fit(g, X, y, train, config: HyperConfig, fisher_idx=None, dictionary=None) -> FittedScaffold:
-    """Fit the full scaffold on the training nodes.
+    """Fit the full scaffold on the training nodes at one configuration.
 
+    This is ``grid_search`` over the one-point grid at ``config``.
     ``fisher_idx`` optionally widens the node set used for Fisher
     statistics (default: the training set).  A prebuilt dictionary for
     the same (g, X, active_blocks) may be passed to skip rebuilding.
     """
-    y = np.asarray(y)
-    train = np.asarray(train, dtype=np.int64)
-    if dictionary is None:
-        dictionary = build_dictionary(g, X, config.active_blocks)
-    if fisher_idx is None:
-        fisher_idx = train
-    q = fisher_scores(dictionary, fisher_idx, y)
-    selection = select_top_k(q, config.k)
-    F, blocks = restrict(dictionary, selection.selected)
-    F_tr = F[train]
-    y_tr = y[train]
-    classes = np.unique(y_tr)
-
-    subspaces = fit_class_subspaces(F_tr, y_tr, config.r_max, config.eta)
-    model = fit_ridge(F_tr, _onehot(y_tr, classes), config.alphas)
-
-    sigma_pca = float(np.std(pca_residuals(F_tr, subspaces)))
-    sigma_ridge = float(np.std(ridge_scores(model, F_tr)))
-
-    return FittedScaffold(
-        config=config,
-        selection=selection,
-        selected_blocks=blocks,
-        subspaces=subspaces,
-        ridge=model,
-        sigma_pca=sigma_pca,
-        sigma_ridge=sigma_ridge,
-        classes=classes,
-        train_idx=train,
-        F=F,
+    point = SearchGrids(
+        (config.k,), (config.r_max,), (config.eta,), (config.alphas,), (config.w,)
     )
+    # a one-point grid leaves nothing to choose, so the validation rows
+    # are only scored, never used: the training rows can stand in
+    _, scaffold, _ = grid_search(
+        g, X, y, train, train, point, config.active_blocks, fisher_idx, dictionary
+    )
+    return scaffold
 
 
 def branch_scores(scaffold: FittedScaffold, F_rows: np.ndarray):
@@ -216,15 +198,19 @@ def branch_scores(scaffold: FittedScaffold, F_rows: np.ndarray):
     return Rp, Rr
 
 
+def fuse(Rp, Rr, w: float, classes):
+    """Fused scores S = w * R~_pca + (1 - w) * R~_ridge and their argmin class ids."""
+    S = w * Rp + (1.0 - w) * Rr
+    return S, classes[np.argmin(S, axis=1)]
+
+
 def predict(scaffold: FittedScaffold, F_rows: np.ndarray):
     """Fused prediction for the given selected-coordinate rows.
 
     Returns (yhat, S, R~_pca, R~_ridge); yhat entries are class ids.
     """
     Rp, Rr = branch_scores(scaffold, F_rows)
-    w = scaffold.config.w
-    S = w * Rp + (1.0 - w) * Rr
-    yhat = scaffold.classes[np.argmin(S, axis=1)]
+    S, yhat = fuse(Rp, Rr, scaffold.config.w, scaffold.classes)
     return yhat, S, Rp, Rr
 
 
@@ -262,7 +248,11 @@ def grid_search(
     K, an (r_max, eta) point whose per-class subspace ranks repeat an
     earlier point's (the basis and residuals depend on the ranks alone).
 
-    Returns (best HyperConfig, FittedScaffold refit at it, val accuracy).
+    The winning point's selection, subspaces and ridge model are kept
+    as they were scored; the returned scaffold is assembled from them
+    plus one gather of the selected columns over all n rows.
+
+    Returns (best HyperConfig, FittedScaffold at it, val accuracy).
     """
     y = np.asarray(y)
     train = np.asarray(train, dtype=np.int64)
@@ -283,7 +273,7 @@ def grid_search(
     F0_tr = dictionary.F0[train]
     F0_val = dictionary.F0[val]
 
-    best = None  # (acc, config)
+    best = None  # (val accuracy, config, pieces fitted at it)
     seen_k_eff = set()
     for k in grids.ks:
         selection = select_top_k(q, k)
@@ -309,29 +299,39 @@ def grid_search(
                     if key not in ridge_cache:
                         model = fit_ridge(F_tr, Y, alpha_set)
                         sigma_ridge = float(np.std(ridge_scores(model, F_tr)))
-                        ridge_cache[key] = (
-                            ridge_scores(model, F_val) / (sigma_ridge + eps)
-                        )
-                    Rr_val = ridge_cache[key]
+                        Rr_val = ridge_scores(model, F_val) / (sigma_ridge + eps)
+                        ridge_cache[key] = (model, sigma_ridge, Rr_val)
+                    model, sigma_ridge, Rr_val = ridge_cache[key]
                     for w in grids.ws:
-                        S = w * Rp_val + (1.0 - w) * Rr_val
-                        acc = accuracy(classes[np.argmin(S, axis=1)], y_val)
+                        _, yhat = fuse(Rp_val, Rr_val, w, classes)
+                        acc = accuracy(yhat, y_val)
                         if best is None or acc > best[0]:
-                            best = (
-                                acc,
-                                HyperConfig(
-                                    k=k,
-                                    r_max=r_max,
-                                    eta=eta,
-                                    alphas=tuple(alpha_set),
-                                    w=w,
-                                    active_blocks=tuple(active_blocks),
-                                ),
+                            config = HyperConfig(
+                                k=k,
+                                r_max=r_max,
+                                eta=eta,
+                                alphas=key,
+                                w=w,
+                                active_blocks=tuple(active_blocks),
                             )
-    best_acc, best_config = best
-    # free the search's row gathers before the refit gathers all n rows
+                            pieces = (selection, subspaces, model, sigma_pca, sigma_ridge)
+                            best = (acc, config, pieces)
+    best_acc, best_config, (selection, subspaces, model, sigma_pca, sigma_ridge) = best
+    # free the search's row gathers before gathering all n rows
     del F0_tr, F0_val, F_tr, F_val
-    scaffold = fit(g, X, y, train, best_config, fisher_idx=fisher_idx, dictionary=dictionary)
+    F, blocks = restrict(dictionary, selection.selected)
+    scaffold = FittedScaffold(
+        config=best_config,
+        selection=selection,
+        selected_blocks=blocks,
+        subspaces=subspaces,
+        ridge=model,
+        sigma_pca=sigma_pca,
+        sigma_ridge=sigma_ridge,
+        classes=classes,
+        train_idx=train,
+        F=F,
+    )
     return best_config, scaffold, best_acc
 
 

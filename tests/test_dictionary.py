@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,23 @@ def test_active_subset_canonical_order_and_slices():
     assert np.allclose(block_slice(D, "Prow2X"), block_slice(full, "Prow2X"))
     with pytest.raises(KeyError, match="not active"):
         block_slice(D, "ProwX")
+
+
+def test_every_block_subset_is_bitwise_the_full_dictionarys_columns():
+    n, d = 10, 3
+    rng = np.random.default_rng(11)
+    edges = [(i, j) for i in range(n - 1) for j in range(i + 1, n - 1) if rng.random() < 0.35]
+    g = build_graph(n, edges)  # node n - 1 is isolated
+    X = rng.standard_normal((n, d))
+    X[2] = 0.0
+    full = build_dictionary(g, X)
+    for r in range(1, len(BLOCKS) + 1):
+        for subset in itertools.combinations(BLOCKS, r):
+            D = build_dictionary(g, X, [b.name for b in subset])
+            cols = np.concatenate([np.arange(b.index * d, (b.index + 1) * d) for b in subset])
+            assert D.F0.tobytes() == np.ascontiguousarray(full.F0[:, cols]).tobytes()
+            assert np.array_equal(D.coord_block, full.coord_block[cols])
+            assert D.coord_block.dtype == full.coord_block.dtype
 
 
 def test_zero_feature_rows_stay_zero():

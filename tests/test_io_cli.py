@@ -210,6 +210,18 @@ def test_snapshot_round_trip(tmp_path, disk_dataset):
     assert np.allclose(S_a, S_b, rtol=1e-12, atol=1e-12)
 
 
+def test_snapshot_extra_comes_back_on_the_scaffold(tmp_path, disk_dataset):
+    g, X, y = disk_dataset["g"], disk_dataset["X"], disk_dataset["y"]
+    train, _, _ = make_split(y, SplitSpec(train_per_class=8, val_per_class=5))
+    sc = fit(g, X, y, train, HyperConfig(k=10, r_max=2, eta=0.9, alphas=(1.0,), w=0.5))
+    extra = {"config_hash": "abc", "val_idx": [1, 2]}
+    save_snapshot(str(tmp_path / "a.json"), sc, extra=extra)
+    save_snapshot(str(tmp_path / "b.json"), sc)
+    assert sc.extra == {}
+    assert load_snapshot(str(tmp_path / "a.json"), g, X).extra == extra
+    assert load_snapshot(str(tmp_path / "b.json"), g, X).extra == {}
+
+
 def test_snapshot_zero_rank_class(tmp_path):
     # a constant-feature class on an edgeless graph (nothing to propagate)
     # stores an empty basis and comes back r=0
@@ -501,6 +513,9 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
             ["ablate", *DATA, "--repeats", "1", "--variants", "full,raw_only"],
             "configure",
             id="ablate-one-repeat-paired",
+        ),
+        pytest.param(
+            ["ablate", *DATA, "--variants", "full,nosuch"], "configure", id="unknown-variant"
         ),
     ],
 )

@@ -202,6 +202,40 @@ def test_grid_search_matches_naive_enumeration(ks, r_maxs):
     assert np.array_equal(yhat_a, yhat_b)
 
 
+@pytest.mark.parametrize("fisher_mode", ["train", "train+val"])
+def test_grid_search_scaffold_equals_fit_at_its_config(fisher_mode):
+    g, X, y = make_sbm_dataset(
+        n_per_class=30, n_classes=3, p_within=0.12, p_between=0.05,
+        d=5, shift=0.8, seed=7,
+    )
+    train, val, _ = make_split(y, SplitSpec(train_per_class=10, val_per_class=10, seed=7))
+    fisher_idx = train if fisher_mode == "train" else np.sort(np.concatenate([train, val]))
+    grids = SearchGrids(
+        ks=(10, 30), r_maxs=(2, 5), etas=(0.9, 0.99),
+        alpha_sets=((0.1,), (1.0, 10.0)), ws=(0.3, 0.5, 0.7),
+    )
+    config, got, _ = grid_search(g, X, y, train, val, grids=grids, fisher_idx=fisher_idx)
+    want = fit(g, X, y, train, config, fisher_idx=fisher_idx)
+    assert got.config == want.config == config
+    assert np.array_equal(got.selection.selected, want.selection.selected)
+    assert np.array_equal(got.selection.scores, want.selection.scores)
+    assert got.selected_blocks == want.selected_blocks
+    assert np.array_equal(got.F, want.F)
+    assert np.array_equal(got.classes, want.classes)
+    assert np.array_equal(got.train_idx, want.train_idx)
+    assert len(got.subspaces) == len(want.subspaces)
+    for a, b in zip(got.subspaces, want.subspaces):
+        assert np.array_equal(a.center, b.center)
+        assert np.array_equal(a.basis, b.basis)
+        assert (a.r, a.energy_fraction) == (b.r, b.energy_fraction)
+    assert got.ridge.alphas == want.ridge.alphas
+    assert got.ridge.sigmas == want.ridge.sigmas
+    for a, b in zip(got.ridge.betas, want.ridge.betas, strict=True):
+        assert np.array_equal(a, b)
+    assert got.sigma_pca == want.sigma_pca
+    assert got.sigma_ridge == want.sigma_ridge
+
+
 def test_grid_search_requires_validation_nodes():
     g, X, y = small_dataset()
     train, _, _ = make_split(y, SplitSpec(train_per_class=10, val_per_class=5))
