@@ -18,15 +18,17 @@ fraction, the error signal shift) live behind the explicit
 selection path can reach them.
 """
 
-import csv
 import os
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
+from operator import attrgetter
 
 import numpy as np
 
 from .conventions import conventions
 from .dictionary import BLOCK_NAMES, BLOCKS, FAMILIES
-from .io import meta_line, write_json
+from .io import write_csv, write_json
 from .scaffold import predict
 
 QUADRANTS = ("both-correct", "pca-only", "ridge-only", "both-wrong")
@@ -76,17 +78,18 @@ def family_shares(energy: dict, active_names) -> dict:
 
 
 def _margins(R, y_pos):
-    """Per-row margin of the true class against the nearest wrong one."""
+    """Per-row margin of the true class against the nearest wrong one;
+    NaN where the true class is unseen (y_pos -1) or there is no other."""
     n, n_classes = R.shape
     out = np.full(n, np.nan)
     if n_classes < 2:
         return out
-    for i in range(n):
-        p = y_pos[i]
-        if p < 0:
-            continue
-        others = np.delete(R[i], p)
-        out[i] = float(np.min(others) - R[i, p])
+    rows = np.flatnonzero(y_pos >= 0)
+    at_true = (np.arange(rows.size), y_pos[rows])
+    others = R[rows]  # fancy indexing copies
+    true = others[at_true]
+    others[at_true] = np.inf
+    out[rows] = others.min(axis=1) - true
     return out
 
 
@@ -97,63 +100,46 @@ def node_atlas(scaffold, eval_idx, y, degree=None):
     omitted degrees are recorded as 0.
     """
     eval_idx = np.asarray(eval_idx, dtype=np.int64)
-    y = np.asarray(y)
+    labels = np.asarray(y)[eval_idx]
     sel = scaffold.selection
     q_sel = sel.scores[sel.selected]
     block_index = np.array([b.index for b in scaffold.selected_blocks])
-    active_names = [b.name for b in sorted(set(scaffold.selected_blocks), key=lambda b: b.index)]
-    name_cols = {
-        b.name: np.flatnonzero(block_index == b.index)
-        for b in set(scaffold.selected_blocks)
-    }
+    active = sorted(set(scaffold.selected_blocks), key=lambda b: b.index)
+    active_names = [b.name for b in active]
+    block_cols = [(b.name, np.flatnonzero(block_index == b.index)) for b in active]
 
     F_rows = scaffold.F[eval_idx]
     yhat, _, Rp, Rr = predict(scaffold, F_rows)
     pred_pca = scaffold.classes[np.argmin(Rp, axis=1)]
     pred_ridge = scaffold.classes[np.argmin(Rr, axis=1)]
+    # QUADRANTS is ordered by (pca wrong, ridge wrong) read as two bits
+    quadrant = 2 * (pred_pca != labels) + (pred_ridge != labels)
 
     class_pos = {int(c): k for k, c in enumerate(scaffold.classes)}
-    y_pos = np.array([class_pos.get(int(y[i]), -1) for i in eval_idx])
+    y_pos = np.array([class_pos.get(int(c), -1) for c in labels], dtype=np.int64)
     m_pca = _margins(Rp, y_pos)
     m_ridge = _margins(Rr, y_pos)
 
     contrib = np.abs(F_rows) * q_sel[None, :]
     records = []
     for r, node in enumerate(eval_idx):
-        energy = {name: 0.0 for name in BLOCK_NAMES}
-        for name in active_names:
-            cols = name_cols[name]
-            if cols.size:
-                energy[name] = float(np.mean(contrib[r, cols]))
-        total = float(sum(energy.values()))
-        share = block_shares(energy)
-        fam_share = family_shares(energy, active_names)
-
-        true = int(y[node])
-        ok_pca = int(pred_pca[r]) == true
-        ok_ridge = int(pred_ridge[r]) == true
-        if ok_pca and ok_ridge:
-            quadrant = "both-correct"
-        elif ok_pca:
-            quadrant = "pca-only"
-        elif ok_ridge:
-            quadrant = "ridge-only"
-        else:
-            quadrant = "both-wrong"
+        energy = dict.fromkeys(BLOCK_NAMES, 0.0)
+        for name, cols in block_cols:
+            energy[name] = float(np.mean(contrib[r, cols]))
         records.append(
             NodeAtlasRecord(
                 node=int(node),
-                label=true,
+                label=int(labels[r]),
                 degree=int(degree[node]) if degree is not None else 0,
                 pred=int(yhat[r]),
                 pred_pca=int(pred_pca[r]),
                 pred_ridge=int(pred_ridge[r]),
-                correct=int(yhat[r]) == true,
-                quadrant=quadrant,
-                zero_evidence=total == 0.0,
+                correct=int(yhat[r]) == int(labels[r]),
+                quadrant=QUADRANTS[quadrant[r]],
+                zero_evidence=sum(energy.values()) == 0.0,
                 block_energy=energy,
-                block_share=share,
-                family_share=fam_share,
+                block_share=block_shares(energy),
+                family_share=family_shares(energy, active_names),
                 margin_pca=float(m_pca[r]),
                 margin_ridge=float(m_ridge[r]),
             )
@@ -213,26 +199,6 @@ def dataset_fingerprint(records, subspaces) -> DatasetFingerprint:
     )
 
 
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        if not np.isfinite(v):
-            return ""
-        return f"{v:.10g}"
-    return str(v)
-
-
-def _write_csv(path, header, rows, meta=None):
-    with open(path, "w", newline="") as fh:
-        if meta:
-            fh.write(meta_line(meta) + "\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-
-
 def subspace_overlap(a, b) -> float:
     """Basis alignment ||B_b^T B_a||_F^2 / min(r_a, r_b), in [0, 1]."""
     if a.r == 0 or b.r == 0:
@@ -270,11 +236,31 @@ def fingerprint_payload(fp: DatasetFingerprint, dataset_name, split_mode, meta=N
     return payload
 
 
+# Every per-node column once: (header, its value for one NodeAtlasRecord).
+# atlas.csv writes them all; the phase files pick theirs by header.
+ATLAS_COLUMNS = (
+    *((n, attrgetter(n)) for n in ("node", "label", "degree", "pred", "pred_pca", "pred_ridge")),
+    ("correct", lambda r: int(r.correct)),
+    ("quadrant", lambda r: r.quadrant),
+    ("zero_evidence", lambda r: int(r.zero_evidence)),
+    *((f"{f}_share_pct", lambda r, f=f: 100.0 * r.family_share[f]) for f in FAMILIES),
+    ("margin_pca", lambda r: r.margin_pca),
+    ("margin_ridge", lambda r: r.margin_ridge),
+    *((f"energy[{n}]", lambda r, n=n: r.block_energy[n]) for n in BLOCK_NAMES),
+    *((f"share_pct[{n}]", lambda r, n=n: 100.0 * r.block_share[n]) for n in BLOCK_NAMES),
+)
+
+PHASE_FILES = (
+    ("signal_phase.csv", ("node", "low_share_pct", "high_share_pct", "correct")),
+    ("decision_phase.csv", ("node", "margin_pca", "margin_ridge", "quadrant")),
+)
+
+
 def emit_figure_data(
     records,
     fingerprint: DatasetFingerprint,
     out_dir,
-    subspaces=None,
+    subspaces,
     dataset_name="dataset",
     split_mode="unspecified",
     meta=None,
@@ -289,117 +275,41 @@ def emit_figure_data(
     for fixed inputs.
     """
     os.makedirs(out_dir, exist_ok=True)
-    fp = fingerprint
 
-    header = (
-        [
-            "node",
-            "label",
-            "degree",
-            "pred",
-            "pred_pca",
-            "pred_ridge",
-            "correct",
-            "quadrant",
-            "zero_evidence",
-            "raw_share_pct",
-            "low_share_pct",
-            "high_share_pct",
-            "margin_pca",
-            "margin_ridge",
-        ]
-        + [f"energy[{n}]" for n in BLOCK_NAMES]
-        + [f"share_pct[{n}]" for n in BLOCK_NAMES]
-    )
-    rows = []
-    for r in records:
-        rows.append(
-            [
-                r.node,
-                r.label,
-                r.degree,
-                r.pred,
-                r.pred_pca,
-                r.pred_ridge,
-                int(r.correct),
-                r.quadrant,
-                int(r.zero_evidence),
-                100.0 * r.family_share["raw"],
-                100.0 * r.family_share["low"],
-                100.0 * r.family_share["high"],
-                r.margin_pca,
-                r.margin_ridge,
-            ]
-            + [r.block_energy[n] for n in BLOCK_NAMES]
-            + [100.0 * r.block_share[n] for n in BLOCK_NAMES]
-        )
-    _write_csv(os.path.join(out_dir, "atlas.csv"), header, rows, meta)
+    def write(name, header, rows):
+        write_csv(os.path.join(out_dir, name), header, rows, meta)
 
-    payload = fingerprint_payload(fp, dataset_name, split_mode, meta)
+    header = [h for h, _ in ATLAS_COLUMNS]
+    rows = [[value(r) for _, value in ATLAS_COLUMNS] for r in records]
+    write("atlas.csv", header, rows)
+    for name, picked in PHASE_FILES:
+        idx = [header.index(h) for h in picked]
+        write(name, picked, [[row[i] for i in idx] for row in rows])
+
+    payload = fingerprint_payload(fingerprint, dataset_name, split_mode, meta)
     write_json(os.path.join(out_dir, "fingerprint.json"), payload)
-
-    _write_csv(
-        os.path.join(out_dir, "simplex.csv"),
-        ["dataset", "raw_share_pct", "low_share_pct", "high_share_pct"],
+    write(
+        "simplex.csv",
+        ["dataset", *(f"{f}_share_pct" for f in FAMILIES)],
         [[dataset_name, payload["R_D"], payload["L_D"], payload["H_D"]]],
-        meta,
     )
-
-    _write_csv(
-        os.path.join(out_dir, "signal_phase.csv"),
-        ["node", "low_share_pct", "high_share_pct", "correct"],
-        [
-            [r.node, 100.0 * r.family_share["low"], 100.0 * r.family_share["high"], int(r.correct)]
-            for r in records
-        ],
-        meta,
-    )
-
-    _write_csv(
-        os.path.join(out_dir, "decision_phase.csv"),
-        ["node", "margin_pca", "margin_ridge", "quadrant"],
-        [[r.node, r.margin_pca, r.margin_ridge, r.quadrant] for r in records],
-        meta,
-    )
-
-    if subspaces is not None:
-        _write_csv(
-            os.path.join(out_dir, "class_complexity.csv"),
-            ["class", "subspace_dim", "n_members", "energy_fraction"],
-            [[s.label, s.r, s.n_members, s.energy_fraction] for s in subspaces],
-            meta,
-        )
-
-    _write_csv(
-        os.path.join(out_dir, "error_shift.csv"),
+    write(
+        "error_shift.csv",
         ["dataset", "high_share_correct_pct", "high_share_wrong_pct", "delta_H_pct"],
         [[dataset_name, payload["H_correct"], payload["H_wrong"], payload["delta_H"]]],
-        meta,
     )
-
-    if subspaces is not None:
-        confusion = {}
-        for r in records:
-            if not r.correct:
-                key = (r.label, r.pred)
-                confusion[key] = confusion.get(key, 0) + 1
-        sub = {s.label: s for s in subspaces}
-        labels = [s.label for s in subspaces]
-        pair_rows = []
-        for i, a in enumerate(labels):
-            for b in labels[i + 1 :]:
-                pair_rows.append(
-                    [
-                        a,
-                        b,
-                        subspace_overlap(sub[a], sub[b]),
-                        confusion.get((a, b), 0),
-                        confusion.get((b, a), 0),
-                    ]
-                )
-        _write_csv(
-            os.path.join(out_dir, "subspace_confusion.csv"),
-            ["class_a", "class_b", "overlap", "confused_a_as_b", "confused_b_as_a"],
-            pair_rows,
-            meta,
-        )
+    write(
+        "class_complexity.csv",
+        ["class", "subspace_dim", "n_members", "energy_fraction"],
+        [[s.label, s.r, s.n_members, s.energy_fraction] for s in subspaces],
+    )
+    confusion = Counter((r.label, r.pred) for r in records if not r.correct)
+    write(
+        "subspace_confusion.csv",
+        ["class_a", "class_b", "overlap", "confused_a_as_b", "confused_b_as_a"],
+        [
+            [a.label, b.label, subspace_overlap(a, b),
+             confusion[a.label, b.label], confusion[b.label, a.label]]
+            for a, b in combinations(subspaces, 2)
+        ],
+    )

@@ -28,10 +28,10 @@ from .io import (
     config_hash,
     load_dataset,
     load_snapshot,
-    meta_line,
     report_meta,
     save_edge_provenance,
     save_snapshot,
+    write_csv,
     write_json,
 )
 from .graph import save_edge_list
@@ -162,6 +162,23 @@ def _run_config(args, name) -> RunConfig:
     )
 
 
+def _write_atlas(bundle, scaffold, eval_idx, out_dir, meta):
+    """The atlas, the fingerprint and the figure files of one eval set;
+    returns the fingerprint."""
+    records = node_atlas(scaffold, eval_idx, bundle.y, bundle.graph.degree)
+    fp = dataset_fingerprint(records, scaffold.subspaces)
+    emit_figure_data(
+        records,
+        fp,
+        out_dir,
+        subspaces=scaffold.subspaces,
+        dataset_name=bundle.name,
+        split_mode=meta["split_mode"],
+        meta=meta,
+    )
+    return fp
+
+
 def cmd_run(args):
     out = args.out
     t_start = time.perf_counter()
@@ -195,17 +212,7 @@ def cmd_run(args):
     meta = report_meta(c_hash, config.split.mode)
     for o in outcomes:
         rep_dir = os.path.join(out, f"repeat_{o.repeat:02d}")
-        records = node_atlas(o.scaffold, o.test, bundle.y, bundle.graph.degree)
-        fp = dataset_fingerprint(records, o.scaffold.subspaces)
-        emit_figure_data(
-            records,
-            fp,
-            rep_dir,
-            subspaces=o.scaffold.subspaces,
-            dataset_name=bundle.name,
-            split_mode=config.split.mode,
-            meta=dict(meta, repeat=o.repeat),
-        )
+        _write_atlas(bundle, o.scaffold, o.test, rep_dir, dict(meta, repeat=o.repeat))
         want_snap = config.snapshots == "all" or (
             config.snapshots == "first" and o.repeat == 0
         )
@@ -301,23 +308,12 @@ def cmd_ablate(args):
 
     yield "report"
     meta = report_meta(config_hash(config), config.split.mode)
-    header = (
-        ["variant"]
-        + [f"acc_{i}" for i in range(config.repeats)]
-        + ["mean", "std", "rank"]
+    write_csv(
+        os.path.join(out, "ablation_report.csv"),
+        ["variant", *(f"acc_{i}" for i in range(config.repeats)), "mean", "std", "rank"],
+        [[r["variant"], *r["accuracies"], r["mean"], r["std"], r["rank"]] for r in table],
+        meta,
     )
-    lines = [meta_line(meta), ",".join(header)]
-    for row in table:
-        cells = [row["variant"]]
-        cells += [f"{a:.10g}" for a in row["accuracies"]]
-        cells += [
-            f"{row['mean']:.10g}",
-            "" if row["std"] is None else f"{row['std']:.10g}",
-            str(row["rank"]),
-        ]
-        lines.append(",".join(cells))
-    with open(os.path.join(out, "ablation_report.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
     payload = {"meta": meta, "variants": table}
     if paired:
@@ -396,25 +392,19 @@ def _atlas_like(args):
             eval_idx = np.asarray(extra[key], dtype=np.int64)
         else:
             raise ValueError(f"snapshot lacks {key}; pass --eval-nodes with explicit ids")
+    n = bundle.graph.n
+    outside = eval_idx[(eval_idx < 0) | (eval_idx >= n)]
+    if outside.size:
+        raise ValueError(f"eval node id {outside[0]} outside [0, {n})")
 
     yield "atlas"
-    records = node_atlas(scaffold, eval_idx, bundle.y, bundle.graph.degree)
-    fp = dataset_fingerprint(records, scaffold.subspaces)
     # the run that wrote the snapshot stamped its provenance into extra
     meta = report_meta(
         extra.get("config_hash", "unspecified"), extra.get("split_mode", "unspecified")
     )
-    emit_figure_data(
-        records,
-        fp,
-        args.out,
-        subspaces=scaffold.subspaces,
-        dataset_name=bundle.name,
-        split_mode=meta["split_mode"],
-        meta=meta,
-    )
+    fp = _write_atlas(bundle, scaffold, eval_idx, args.out, meta)
     print(
-        f"atlas complete: {len(records)} nodes, accuracy {fp.accuracy:.4f}, "
+        f"atlas complete: {fp.n_eval} nodes, accuracy {fp.accuracy:.4f}, "
         f"shares raw/low/high = {100 * fp.raw_share:.2f}/"
         f"{100 * fp.low_share:.2f}/{100 * fp.high_share:.2f} -> {args.out}"
     )

@@ -109,7 +109,8 @@ def propagate(op: PropagationOperator, X: np.ndarray) -> np.ndarray:
 
 
 def load_edge_list(path, n_nodes=None) -> list:
-    """Read a 'src,dst' per line edge file (optional 'src,dst' header).
+    """Read a 'src,dst' per line edge file.  Blank and '#' lines are
+    skipped; the first other line may be a 'src,dst' header.
 
     Returns raw integer pairs; full validation happens in build_graph,
     but when ``n_nodes`` is given, out-of-range ids fail here so the
@@ -118,12 +119,15 @@ def load_edge_list(path, n_nodes=None) -> list:
     """
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
+        header_allowed = True
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if lineno == 1 and line.replace(" ", "") == "src,dst":
+            if header_allowed and line.replace(" ", "") == "src,dst":
+                header_allowed = False
                 continue
+            header_allowed = False
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'src,dst', got {line!r}")

@@ -13,6 +13,7 @@ again without refitting, except the dataset itself: the dictionary is
 rebuilt deterministically from (graph, features) at load time.
 """
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -49,13 +50,9 @@ def save_features_binary(path, X) -> None:
 
 
 def save_features_csv(path, X, names=None) -> None:
-    X = np.asarray(X)
-    d = X.shape[1]
-    names = names if names is not None else [f"f{j}" for j in range(d)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in X:
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+    X = np.asarray(X, dtype=np.float64)
+    names = names if names is not None else [f"f{j}" for j in range(X.shape[1])]
+    write_csv(path, names, X)
 
 
 def _load_features_csv(path) -> np.ndarray:
@@ -244,6 +241,24 @@ def report_meta(config_hash: str, split_mode: str) -> dict:
 def meta_line(meta: dict) -> str:
     """The '# k=v ...' first line of every report CSV."""
     return "# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta))
+
+
+def _cell(v):
+    if isinstance(v, float):
+        return f"{v:.10g}" if math.isfinite(v) else ""
+    return v  # csv writes None as an empty field
+
+
+def write_csv(path, header, rows, meta=None) -> None:
+    """The one CSV writer: the '# k=v' meta line (when given), the header,
+    then the rows.  Floats print as %.10g; None and non-finite floats are
+    empty fields; every line ends in LF."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if meta:
+            fh.write(meta_line(meta) + "\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_cell(v) for v in row] for row in rows)
 
 
 def jsonable(obj):

@@ -113,6 +113,11 @@ def make_split(y, spec: SplitSpec):
         raise ValueError("no labeled nodes to split")
     if spec.mode not in ("per-class", "fraction"):
         raise ValueError(f"unknown split mode {spec.mode!r}")
+    if spec.mode == "per-class" and (spec.train_per_class < 1 or spec.val_per_class < 0):
+        raise ValueError(
+            f"per-class counts need train >= 1 and val >= 0, got "
+            f"{spec.train_per_class} and {spec.val_per_class}"
+        )
     if spec.mode == "fraction":
         total = spec.train_frac + spec.val_frac + spec.test_frac
         if not (0 < spec.train_frac < 1 and 0 <= spec.val_frac < 1):

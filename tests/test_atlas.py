@@ -6,10 +6,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graphsig.atlas import (
     QUADRANTS,
     NodeAtlasRecord,
+    _margins,
     block_shares,
     dataset_fingerprint,
     emit_figure_data,
@@ -114,6 +118,54 @@ def test_margins_match_branch_scores():
         assert r.margin_pca == pytest.approx(np.min(Rp[i, other]) - Rp[i, p])
         assert r.margin_ridge == pytest.approx(np.min(Rr[i, other]) - Rr[i, p])
         assert (r.margin_pca > 0) == (r.pred_pca == r.label)
+
+
+def _margins_by_row(R, y_pos):
+    out = np.full(R.shape[0], np.nan)
+    if R.shape[1] < 2:
+        return out
+    for i, p in enumerate(y_pos):
+        if p >= 0:
+            out[i] = np.min(np.delete(R[i], p)) - R[i, p]
+    return out
+
+
+@st.composite
+def scores_and_positions(draw):
+    n = draw(st.integers(0, 8))
+    n_classes = draw(st.integers(1, 4))
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    R = draw(arrays(np.float64, (n, n_classes), elements=values))
+    y_pos = draw(arrays(np.int64, n, elements=st.integers(-1, n_classes - 1)))
+    return R, y_pos
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scores_and_positions())
+def test_margins_equal_the_per_row_loop(data):
+    R, y_pos = data
+    R_before = R.copy()
+    np.testing.assert_array_equal(_margins(R, y_pos), _margins_by_row(R, y_pos))
+    assert np.array_equal(R, R_before)  # the scores are not modified
+
+
+energies = st.fixed_dictionaries(
+    {n: st.one_of(st.just(0.0), st.floats(1e-6, 1e6)) for n in BLOCK_NAMES}
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(energies, st.sets(st.sampled_from(BLOCK_NAMES), min_size=1))
+def test_shares_sum_to_one_or_are_all_zero(energy, active):
+    active_names = [n for n in BLOCK_NAMES if n in active]
+    energy = {n: (e if n in active else 0.0) for n, e in energy.items()}
+    for shares in (block_shares(energy), family_shares(energy, active_names)):
+        values = list(shares.values())
+        assert all(v >= 0 for v in values)
+        if any(values):
+            assert sum(values) == pytest.approx(1.0, abs=1e-12)
+        else:
+            assert sum(energy.values()) == 0.0
 
 
 def test_margin_nan_for_class_missing_from_training():

@@ -95,6 +95,15 @@ def test_edge_list_header_optional(tmp_path):
     assert load_edge_list(path) == [(0, 1), (1, 2)]
 
 
+def test_edge_list_header_after_comments(tmp_path):
+    path = tmp_path / "commented.csv"
+    path.write_text("# comment\n\nsrc,dst\n0,1\n# trailing\n1,2\n")
+    assert load_edge_list(path) == [(0, 1), (1, 2)]
+    path.write_text("# comment\n0,1\nsrc,dst\n")  # only the first line may be a header
+    with pytest.raises(ValueError, match=":3: non-integer"):
+        load_edge_list(path)
+
+
 def test_edge_list_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("src,dst\n0,1\n2;3\n")

@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import os
@@ -396,6 +397,43 @@ def test_cli_ablate(disk_dataset, tmp_path):
     assert payload["paired_vs_full"]["raw_only"]["result" if False else "n"] == 2
 
 
+def _csv_columns(path):
+    with open(path, newline="") as fh:
+        fh.readline()  # the meta line
+        header, *rows = csv.reader(fh)
+    return dict(zip(header, zip(*rows)))
+
+
+def test_cli_report_csvs_are_lf_and_phase_columns_match_atlas(run_out, disk_dataset, tmp_path):
+    ablate_out = str(tmp_path / "ablate")
+    code = main([
+        "ablate",
+        "--edges", disk_dataset["edges"], "--features", disk_dataset["features"],
+        "--labels", disk_dataset["labels"], "--out", ablate_out,
+        "--repeats", "2", "--train-per-class", "8", "--val-per-class", "5",
+        "--variants", "full,raw_only",
+    ] + FAST_MODEL)
+    assert code == 0
+    paths = [
+        os.path.join(d, f)
+        for top in (run_out, ablate_out)
+        for d, _, files in os.walk(top)
+        for f in files
+        if f.endswith(".csv")
+    ]
+    assert len(paths) == 2 * 7 + 1  # seven per repeat, one ablation report
+    for path in paths:
+        with open(path, "rb") as fh:
+            assert b"\r" not in fh.read(), path
+    for rep in ("repeat_00", "repeat_01"):
+        atlas = _csv_columns(os.path.join(run_out, rep, "atlas.csv"))
+        for name in ("signal_phase.csv", "decision_phase.csv"):
+            phase = _csv_columns(os.path.join(run_out, rep, name))
+            assert len(phase) == 4
+            for header, column in phase.items():
+                assert column == atlas[header], (rep, name, header)
+
+
 def test_cli_prototype_knn(disk_dataset, tmp_path):
     out = str(tmp_path / "proto")
     code = main([
@@ -505,6 +543,11 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
             "select-eval-nodes",
             id="snapshot-without-val",
         ),
+        pytest.param(
+            ["fingerprint", *DATA, "--snapshot", "{bare}", "--eval-nodes", "{bad_ids}"],
+            "select-eval-nodes",
+            id="eval-node-outside-graph",
+        ),
         pytest.param(["paired"], "load-results", id="paired-without-inputs"),
         pytest.param(["run", *DATA, "--repeats", "0"], "evaluate", id="zero-repeats"),
         # the default 20 train / 30 val request leaves 25-member classes no test node
@@ -520,7 +563,12 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
     ],
 )
 def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, capsys):
-    paths = dict(disk_dataset, missing=str(tmp_path / "missing.csv"), bare=bare_snapshot)
+    bad_ids = tmp_path / "bad_ids.txt"
+    bad_ids.write_text("-1\n3\n")  # -1 would wrap around to the last node
+    paths = dict(
+        disk_dataset, missing=str(tmp_path / "missing.csv"), bare=bare_snapshot,
+        bad_ids=str(bad_ids),
+    )
     out = tmp_path / "out"
     code = main([a.format(**paths) for a in argv] + ["--out", str(out)])
     assert code == 2

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsig.dictionary import build_dictionary
 from graphsig.graph import build_graph
@@ -107,6 +109,39 @@ def test_split_errors():
             np.zeros(5, dtype=int),
             SplitSpec(mode="fraction", train_frac=0.9, val_frac=0.3, test_frac=0.2),
         )
+
+
+def test_split_rejects_bad_per_class_counts():
+    y = np.repeat([0, 1], 40)
+    for t, v in ((-5, 30), (0, 30), (20, -1)):
+        with pytest.raises(ValueError, match="per-class counts"):
+            make_split(y, SplitSpec(train_per_class=t, val_per_class=v))
+    # fraction mode does not read the per-class counts
+    make_split(y, SplitSpec(mode="fraction", train_per_class=0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    y=st.lists(st.integers(-1, 3), min_size=1, max_size=40).filter(
+        lambda ys: max(ys) >= 0
+    ),
+    train_per_class=st.integers(1, 6),
+    val_per_class=st.integers(0, 6),
+    fraction=st.booleans(),
+    seed=st.integers(0, 3),
+)
+def test_split_partitions_labeled_nodes(y, train_per_class, val_per_class, fraction, seed):
+    spec = SplitSpec(
+        mode="fraction" if fraction else "per-class",
+        train_per_class=train_per_class,
+        val_per_class=val_per_class,
+        seed=seed,
+    )
+    y = np.array(y)
+    train, val, test = make_split(y, spec)
+    check_partition(y, train, val, test)
+    for c in np.unique(y[y >= 0]):
+        assert np.any(y[train] == c), c
 
 
 def test_fit_shapes_and_standardization():
