@@ -33,9 +33,6 @@ from .scaffold import predict
 
 QUADRANTS = ("both-correct", "pca-only", "ridge-only", "both-wrong")
 
-FAMILY_BLOCKS = {fam: tuple(b.name for b in BLOCKS if b.family == fam) for fam in FAMILIES}
-
-
 @dataclass(frozen=True)
 class NodeAtlasRecord:
     node: int
@@ -54,27 +51,53 @@ class NodeAtlasRecord:
     margin_ridge: float
 
 
+def _row_means(M, cols):
+    """Per-row mean over the given columns.  The gather is made
+    C-contiguous so each row reduces exactly as the 1-D mean of its
+    values does (a column gather alone is Fortran-ordered, which sums in
+    another order)."""
+    return np.mean(np.ascontiguousarray(M[:, cols]), axis=1)
+
+
+def _row_sums(M):
+    """Per-row total as a left fold over the columns, from 0."""
+    total = np.zeros(M.shape[0])
+    for col in M.T:
+        total = total + col
+    return total
+
+
+def _shares(M):
+    """Each row over its total; rows without a positive total stay zero."""
+    total = _row_sums(M)[:, None]
+    return np.divide(M, total, out=np.zeros_like(M), where=total > 0)
+
+
+def _family_shares(energy, active_names):
+    """Family-size-adjusted shares of (n, 9) block evidence: average
+    evidence over the blocks the dictionary actually holds per family,
+    then normalize across the three families.  Averaging over present
+    blocks is what makes an exact duplicate block (equal evidence) leave
+    the shares unchanged."""
+    means = np.zeros((energy.shape[0], len(FAMILIES)))
+    for f, fam in enumerate(FAMILIES):
+        cols = [b.index for b in BLOCKS if b.family == fam and b.name in active_names]
+        if cols:
+            means[:, f] = _row_means(energy, cols)
+    return _shares(means)
+
+
 def block_shares(energy: dict) -> dict:
     """Normalize block evidence to shares; all-zero evidence stays zero."""
-    total = float(sum(energy.values()))
-    if total > 0:
-        return {name: e / total for name, e in energy.items()}
-    return {name: 0.0 for name in energy}
+    shares = _shares(np.array([list(energy.values())], dtype=np.float64))
+    return dict(zip(energy, shares[0].tolist()))
 
 
 def family_shares(energy: dict, active_names) -> dict:
-    """Family-size-adjusted shares: average evidence over the blocks the
-    dictionary actually holds per family, then normalize across the
-    three families.  Averaging over present blocks is what makes an
-    exact duplicate block (equal evidence) leave the shares unchanged."""
-    fam_mean = {}
-    for fam in FAMILIES:
-        present = [energy[n] for n in FAMILY_BLOCKS[fam] if n in active_names]
-        fam_mean[fam] = float(np.mean(present)) if present else 0.0
-    fam_total = float(sum(fam_mean.values()))
-    if fam_total > 0:
-        return {f: v / fam_total for f, v in fam_mean.items()}
-    return {f: 0.0 for f in fam_mean}
+    """One row of ``_family_shares``: block name -> evidence in, family
+    name -> share out; blocks outside ``active_names`` are ignored."""
+    row = np.array([[energy.get(n, 0.0) for n in BLOCK_NAMES]], dtype=np.float64)
+    return dict(zip(FAMILIES, _family_shares(row, active_names)[0].tolist()))
 
 
 def _margins(R, y_pos):
@@ -93,23 +116,20 @@ def _margins(R, y_pos):
     return out
 
 
-def node_atlas(scaffold, eval_idx, y, degree=None):
+def node_atlas(scaffold, eval_idx, y, degree=None, scores=None):
     """One NodeAtlasRecord per eval node, in eval_idx order.
 
     ``degree`` is the full-graph per-node degree vector (pass g.degree);
-    omitted degrees are recorded as 0.
+    omitted degrees are recorded as 0.  ``scores`` is what
+    ``predict(scaffold, scaffold.F[eval_idx])`` returned, when the caller
+    has already scored those rows; without it they are scored here.
+    Every field is computed for all eval nodes at once, one block or
+    family at a time, and the records are built at the end.
     """
     eval_idx = np.asarray(eval_idx, dtype=np.int64)
     labels = np.asarray(y)[eval_idx]
-    sel = scaffold.selection
-    q_sel = sel.scores[sel.selected]
-    block_index = np.array([b.index for b in scaffold.selected_blocks])
-    active = sorted(set(scaffold.selected_blocks), key=lambda b: b.index)
-    active_names = [b.name for b in active]
-    block_cols = [(b.name, np.flatnonzero(block_index == b.index)) for b in active]
-
     F_rows = scaffold.F[eval_idx]
-    yhat, _, Rp, Rr = predict(scaffold, F_rows)
+    yhat, _, Rp, Rr = scores if scores is not None else predict(scaffold, F_rows)
     pred_pca = scaffold.classes[np.argmin(Rp, axis=1)]
     pred_ridge = scaffold.classes[np.argmin(Rr, axis=1)]
     # QUADRANTS is ordered by (pca wrong, ridge wrong) read as two bits
@@ -120,31 +140,54 @@ def node_atlas(scaffold, eval_idx, y, degree=None):
     m_pca = _margins(Rp, y_pos)
     m_ridge = _margins(Rr, y_pos)
 
-    contrib = np.abs(F_rows) * q_sel[None, :]
-    records = []
-    for r, node in enumerate(eval_idx):
-        energy = dict.fromkeys(BLOCK_NAMES, 0.0)
-        for name, cols in block_cols:
-            energy[name] = float(np.mean(contrib[r, cols]))
-        records.append(
-            NodeAtlasRecord(
-                node=int(node),
-                label=int(labels[r]),
-                degree=int(degree[node]) if degree is not None else 0,
-                pred=int(yhat[r]),
-                pred_pca=int(pred_pca[r]),
-                pred_ridge=int(pred_ridge[r]),
-                correct=int(yhat[r]) == int(labels[r]),
-                quadrant=QUADRANTS[quadrant[r]],
-                zero_evidence=sum(energy.values()) == 0.0,
-                block_energy=energy,
-                block_share=block_shares(energy),
-                family_share=family_shares(energy, active_names),
-                margin_pca=float(m_pca[r]),
-                margin_ridge=float(m_ridge[r]),
-            )
+    sel = scaffold.selection
+    contrib = np.abs(F_rows) * sel.scores[sel.selected][None, :]
+    block_index = np.array([b.index for b in scaffold.selected_blocks])
+    active = set(scaffold.selected_blocks)
+    energy = np.zeros((eval_idx.size, len(BLOCKS)))
+    for b in active:
+        energy[:, b.index] = _row_means(contrib, np.flatnonzero(block_index == b.index))
+    zero_evidence = _row_sums(energy) == 0.0
+    block_share = _shares(energy)
+    family_share = _family_shares(energy, {b.name for b in active})
+
+    degrees = (
+        np.asarray(degree)[eval_idx] if degree is not None else np.zeros(eval_idx.size)
+    )
+    columns = zip(
+        eval_idx.tolist(),
+        labels.astype(np.int64).tolist(),
+        degrees.astype(np.int64).tolist(),
+        yhat.astype(np.int64).tolist(),
+        pred_pca.astype(np.int64).tolist(),
+        pred_ridge.astype(np.int64).tolist(),
+        quadrant.tolist(),
+        zero_evidence.tolist(),
+        energy.tolist(),
+        block_share.tolist(),
+        family_share.tolist(),
+        m_pca.tolist(),
+        m_ridge.tolist(),
+    )
+    return [
+        NodeAtlasRecord(
+            node=node,
+            label=label,
+            degree=deg,
+            pred=pred,
+            pred_pca=p_pca,
+            pred_ridge=p_ridge,
+            correct=pred == label,
+            quadrant=QUADRANTS[quad],
+            zero_evidence=zero,
+            block_energy=dict(zip(BLOCK_NAMES, e)),
+            block_share=dict(zip(BLOCK_NAMES, s)),
+            family_share=dict(zip(FAMILIES, fs)),
+            margin_pca=mp,
+            margin_ridge=mr,
         )
-    return records
+        for node, label, deg, pred, p_pca, p_ridge, quad, zero, e, s, fs, mp, mr in columns
+    ]
 
 
 @dataclass(frozen=True)

@@ -162,10 +162,11 @@ def _run_config(args, name) -> RunConfig:
     )
 
 
-def _write_atlas(bundle, scaffold, eval_idx, out_dir, meta):
+def _write_atlas(bundle, scaffold, eval_idx, out_dir, meta, scores=None):
     """The atlas, the fingerprint and the figure files of one eval set;
-    returns the fingerprint."""
-    records = node_atlas(scaffold, eval_idx, bundle.y, bundle.graph.degree)
+    returns the fingerprint.  ``scores`` are the eval rows' scores when
+    the caller already has them (see ``node_atlas``)."""
+    records = node_atlas(scaffold, eval_idx, bundle.y, bundle.graph.degree, scores)
     fp = dataset_fingerprint(records, scaffold.subspaces)
     emit_figure_data(
         records,
@@ -212,7 +213,9 @@ def cmd_run(args):
     meta = report_meta(c_hash, config.split.mode)
     for o in outcomes:
         rep_dir = os.path.join(out, f"repeat_{o.repeat:02d}")
-        _write_atlas(bundle, o.scaffold, o.test, rep_dir, dict(meta, repeat=o.repeat))
+        _write_atlas(
+            bundle, o.scaffold, o.test, rep_dir, dict(meta, repeat=o.repeat), o.test_scores
+        )
         want_snap = config.snapshots == "all" or (
             config.snapshots == "first" and o.repeat == 0
         )

@@ -42,18 +42,21 @@ def build_graph(n: int, edge_list) -> SparseGraph:
     """
     if n < 0:
         raise ValueError(f"node count must be nonnegative, got {n}")
-    pairs = set()
-    for u, v in edge_list:
-        u, v = int(u), int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) has endpoint outside [0,{n})")
-        if u == v:
-            continue
-        pairs.add((u, v) if u < v else (v, u))
-    if pairs:
-        edges = np.array(sorted(pairs), dtype=np.int64)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
+    pairs = np.asarray(edge_list, dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edge list must hold (u, v) pairs, got shape {pairs.shape}")
+    outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if outside.size:
+        u, v = pairs[outside[0]].tolist()
+        raise ValueError(f"edge ({u},{v}) has endpoint outside [0,{n})")
+    lo = pairs.min(axis=1)
+    hi = pairs.max(axis=1)
+    keep = lo != hi
+    # u * n + v orders pairs as (u, v) does, since v < n
+    keys = np.unique(lo[keep] * n + hi[keep])
+    edges = np.stack([keys // n, keys % n], axis=1)
     return _from_clean_edges(n, edges)
 
 

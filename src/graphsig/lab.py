@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import ndtr, stdtr, stdtrit
 
 from .dictionary import BLOCK_NAMES
 from .graph import build_graph
@@ -298,7 +298,7 @@ def wilcoxon_signed_rank(deltas, exact_limit: int = 20):
     elif num < 0:
         num += 0.5
     z = num / math.sqrt(var) if var > 0 else 0.0
-    return w_plus, min(1.0, 2.0 * float(sps.norm.sf(abs(z)))), "normal"
+    return w_plus, min(1.0, 2.0 * float(ndtr(-abs(z)))), "normal"
 
 
 def paired_stats(deltas) -> PairedResult:
@@ -312,14 +312,14 @@ def paired_stats(deltas) -> PairedResult:
     se = std / math.sqrt(n)
     if se > 0:
         t_stat = mean / se
-        t_p = float(2.0 * sps.t.sf(abs(t_stat), n - 1))
+        t_p = float(2.0 * stdtr(n - 1, -abs(t_stat)))
         effect = mean / std
     else:
         # zero spread: report degenerate sentinels rather than NaN noise
         t_stat = math.copysign(math.inf, mean) if mean != 0 else 0.0
         t_p = 0.0 if mean != 0 else 1.0
         effect = math.copysign(math.inf, mean) if mean != 0 else 0.0
-    half = float(sps.t.ppf(0.975, n - 1)) * se
+    half = float(stdtrit(n - 1, 0.975)) * se
     w_stat, w_p, w_method = wilcoxon_signed_rank(d)
     return PairedResult(
         n=n,

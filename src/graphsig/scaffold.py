@@ -351,6 +351,9 @@ class RepeatOutcome:
     val_accuracy: float
     test_accuracy: float
     scaffold: FittedScaffold = field(repr=False, default=None)
+    # predict(scaffold, scaffold.F[test]), kept with the scaffold so the
+    # atlas of the test rows does not score them again
+    test_scores: tuple = field(repr=False, default=None)
 
 
 def evaluate_repeats(
@@ -404,7 +407,7 @@ def evaluate_repeats(
             fisher_idx=fisher_idx,
             dictionary=dictionary,
         )
-        yhat, _, _, _ = predict(scaffold, scaffold.F[test])
+        scores = predict(scaffold, scaffold.F[test])
         outcomes.append(
             RepeatOutcome(
                 repeat=rep,
@@ -414,8 +417,9 @@ def evaluate_repeats(
                 test=test,
                 config=config,
                 val_accuracy=val_acc,
-                test_accuracy=accuracy(yhat, y[test]),
+                test_accuracy=accuracy(scores[0], y[test]),
                 scaffold=scaffold if keep_scaffolds else None,
+                test_scores=scores if keep_scaffolds else None,
             )
         )
     return outcomes

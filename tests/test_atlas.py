@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import filecmp
 import json
+import math
 import os
 from types import SimpleNamespace
 
@@ -22,7 +24,7 @@ from graphsig.atlas import (
     node_atlas,
     subspace_overlap,
 )
-from graphsig.dictionary import BLOCK_NAMES
+from graphsig.dictionary import BLOCK_NAMES, BLOCKS, FAMILIES
 from graphsig.graph import build_graph
 from graphsig.scaffold import HyperConfig, SplitSpec, branch_scores, fit, make_split, predict
 from graphsig.synth import make_sbm_dataset
@@ -366,3 +368,170 @@ def test_emit_figure_data_deterministic(tmp_path):
         assert filecmp.cmp(
             os.path.join(out_a, n), os.path.join(out_b, n), shallow=False
         ), n
+
+
+# ------------------------------------------------- the per-node loop oracle
+
+
+def _left_sum(values):
+    # Python's sum of floats before 3.12, which compensates
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+def _loop_block_shares(energy):
+    total = float(_left_sum(energy.values()))
+    if total > 0:
+        return {name: e / total for name, e in energy.items()}
+    return {name: 0.0 for name in energy}
+
+
+def _loop_family_shares(energy, active_names):
+    fam_mean = {}
+    for fam in FAMILIES:
+        present = [energy[b.name] for b in BLOCKS if b.family == fam and b.name in active_names]
+        fam_mean[fam] = float(np.mean(present)) if present else 0.0
+    fam_total = float(_left_sum(fam_mean.values()))
+    if fam_total > 0:
+        return {f: v / fam_total for f, v in fam_mean.items()}
+    return {f: 0.0 for f in fam_mean}
+
+
+def loop_node_atlas(scaffold, eval_idx, y, degree=None):
+    """The atlas as one record per node, built field by field."""
+    eval_idx = np.asarray(eval_idx, dtype=np.int64)
+    labels = np.asarray(y)[eval_idx]
+    sel = scaffold.selection
+    q_sel = sel.scores[sel.selected]
+    block_index = np.array([b.index for b in scaffold.selected_blocks])
+    active = sorted(set(scaffold.selected_blocks), key=lambda b: b.index)
+    active_names = [b.name for b in active]
+    block_cols = [(b.name, np.flatnonzero(block_index == b.index)) for b in active]
+
+    F_rows = scaffold.F[eval_idx]
+    yhat, _, Rp, Rr = predict(scaffold, F_rows)
+    pred_pca = scaffold.classes[np.argmin(Rp, axis=1)]
+    pred_ridge = scaffold.classes[np.argmin(Rr, axis=1)]
+    quadrant = 2 * (pred_pca != labels) + (pred_ridge != labels)
+
+    class_pos = {int(c): k for k, c in enumerate(scaffold.classes)}
+    y_pos = np.array([class_pos.get(int(c), -1) for c in labels], dtype=np.int64)
+    m_pca = _margins_by_row(Rp, y_pos)
+    m_ridge = _margins_by_row(Rr, y_pos)
+
+    contrib = np.abs(F_rows) * q_sel[None, :]
+    records = []
+    for r, node in enumerate(eval_idx):
+        energy = dict.fromkeys(BLOCK_NAMES, 0.0)
+        for name, cols in block_cols:
+            energy[name] = float(np.mean(contrib[r, cols]))
+        records.append(
+            NodeAtlasRecord(
+                node=int(node),
+                label=int(labels[r]),
+                degree=int(degree[node]) if degree is not None else 0,
+                pred=int(yhat[r]),
+                pred_pca=int(pred_pca[r]),
+                pred_ridge=int(pred_ridge[r]),
+                correct=int(yhat[r]) == int(labels[r]),
+                quadrant=QUADRANTS[quadrant[r]],
+                zero_evidence=_left_sum(energy.values()) == 0.0,
+                block_energy=energy,
+                block_share=_loop_block_shares(energy),
+                family_share=_loop_family_shares(energy, active_names),
+                margin_pca=float(m_pca[r]),
+                margin_ridge=float(m_ridge[r]),
+            )
+        )
+    return records
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        da, db = dataclasses.asdict(a), dataclasses.asdict(b)
+        for key in ("margin_pca", "margin_ridge"):
+            x, w = da.pop(key), db.pop(key)
+            assert x == w or (math.isnan(x) and math.isnan(w)), key
+        assert da == db
+        for key, value in da.items():  # ints stay ints, bools stay bools
+            assert type(value) is type(db[key]), key
+
+
+def atlas_cases():
+    """(scaffold, eval_idx, y, degree) fixtures that reach every branch."""
+    # blocks of more than 8 selected columns: numpy sums those pairwise,
+    # so the summation order of a row mean shows in its last bits
+    g, X, y = make_sbm_dataset(
+        n_per_class=30, n_classes=3, p_within=0.15, p_between=0.02, d=24, shift=3.0, seed=2,
+    )
+    train, _, test = make_split(y, SplitSpec(train_per_class=10, val_per_class=5, seed=2))
+    sc = fit(g, X, y, train, HyperConfig(k=150, r_max=4, eta=0.95, alphas=(0.1, 1.0), w=0.5))
+    rng = np.random.default_rng(5)
+    shuffled = rng.choice(test, size=test.size + 7)  # unsorted, with repeats
+    yield "all-blocks", sc, shuffled, y, g.degree
+
+    g, X, y, sc, test = fitted(active_blocks=("X", "ProwX", "PsymX", "Prow3X"), k=20)
+    yield "no-high-family", sc, test[::-1], y, g.degree
+
+    g, X, y, sc, test = fitted(active_blocks=("X",), k=6)
+    yield "raw-only", sc, test, y, None
+
+    # a node without features or edges has no evidence in any block
+    edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0], [6, 0]])
+    g = build_graph(8, edges)
+    X = np.ones((8, 3))
+    X[:4, 0] = 5.0
+    X[7] = 0.0
+    y = np.array([0, 0, 0, 0, 1, 1, 1, 0])
+    for active in (("X",), ("X", "ProwX", "X-PsymX")):
+        sc = fit(g, X, y, np.arange(7), HyperConfig(
+            k=9, r_max=2, eta=0.99, alphas=(1.0,), w=0.5, active_blocks=active,
+        ))
+        yield f"zero-evidence-{len(active)}", sc, np.array([7, 0, 7, 3]), y, g.degree
+
+    g, X, y = small_dataset(seed=1, n_classes=3)
+    # class 2 is absent from training
+    train = np.concatenate([np.flatnonzero(y == 0)[:10], np.flatnonzero(y == 1)[:10]])
+    sc = fit(g, X, y, train, HyperConfig(k=30, r_max=3, eta=0.95, alphas=(1.0,), w=0.5))
+    yield "unseen-class", sc, np.concatenate([np.flatnonzero(y == 2)[:4], train[:3]]), y, g.degree
+
+
+@pytest.mark.parametrize("case", list(atlas_cases()), ids=lambda c: c[0])
+def test_node_atlas_equals_the_per_node_loop(case, tmp_path):
+    name, sc, eval_idx, y, degree = case
+    want = loop_node_atlas(sc, eval_idx, y, degree)
+    got = node_atlas(sc, eval_idx, y, degree)
+    assert_same_records(got, want)
+    # the scores a caller already has give the same records
+    scored = node_atlas(sc, eval_idx, y, degree, predict(sc, sc.F[eval_idx]))
+    assert_same_records(scored, want)
+    if name == "zero-evidence-1":
+        assert got[0].zero_evidence and not got[1].zero_evidence
+    if name == "unseen-class":
+        assert math.isnan(got[0].margin_pca) and not math.isnan(got[-1].margin_pca)
+
+    out = {}
+    for tag, records in (("loop", want), ("array", got)):
+        out[tag] = str(tmp_path / tag)
+        emit_figure_data(
+            records, dataset_fingerprint(records, sc.subspaces), out[tag],
+            subspaces=sc.subspaces, dataset_name="toy", split_mode="per-class",
+            meta={"config_hash": "abc"},
+        )
+    names = sorted(os.listdir(out["loop"]))
+    assert names == sorted(os.listdir(out["array"]))
+    for n in names:
+        assert filecmp.cmp(
+            os.path.join(out["loop"], n), os.path.join(out["array"], n), shallow=False
+        ), n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(energies, st.sets(st.sampled_from(BLOCK_NAMES), min_size=1))
+def test_one_row_shares_equal_the_dict_rules(energy, active):
+    energy = {n: (e if n in active else 0.0) for n, e in energy.items()}
+    assert block_shares(energy) == _loop_block_shares(energy)
+    assert family_shares(energy, active) == _loop_family_shares(energy, active)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsig.graph import (
     build_graph,
@@ -32,6 +34,54 @@ def test_build_graph_rejects_out_of_range():
         build_graph(3, [(0, 4)])
     with pytest.raises(ValueError, match="-1"):
         build_graph(3, [(-1, 2)])
+
+
+def set_based_edges(n, edge_list):
+    """Clean edge set, one pair at a time."""
+    pairs = set()
+    for u, v in edge_list:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) has endpoint outside [0,{n})")
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    return sorted(pairs)
+
+
+@st.composite
+def raw_edge_lists(draw):
+    n = draw(st.integers(0, 12))
+    ids = st.integers(-2, n + 1) if draw(st.booleans()) else st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=40)) if n else []
+    # repeat some pairs, reversed, so duplicates of both orientations occur
+    return n, edges + [(v, u) for u, v in edges[: draw(st.integers(0, len(edges)))]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(raw_edge_lists(), st.booleans())
+def test_build_graph_equals_the_set_reference(case, as_array):
+    n, edge_list = case
+    raw = np.array(edge_list, dtype=np.int64).reshape(-1, 2) if as_array else edge_list
+    try:
+        want = set_based_edges(n, edge_list)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            build_graph(n, raw)
+        assert str(got.value) == str(e)  # the first offending edge in input order
+        return
+    g = build_graph(n, raw)
+    assert g.edges.dtype == np.int64 and g.edges.shape == (len(want), 2)
+    assert g.edges.tolist() == [list(p) for p in want]
+    dense = np.zeros((n, n))
+    for u, v in want:
+        dense[u, v] = dense[v, u] = 1.0
+    assert np.array_equal(g.adj.toarray(), dense)
+    assert g.degree.dtype == np.int64
+    assert g.degree.tolist() == dense.sum(axis=1).astype(int).tolist()
+
+
+def test_build_graph_rejects_malformed_pairs():
+    with pytest.raises(ValueError, match="pairs"):
+        build_graph(4, [(0, 1, 2)])
 
 
 def test_row_operator_row_stochastic():

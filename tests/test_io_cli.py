@@ -2,10 +2,13 @@ import csv
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import graphsig
 from graphsig.cli import main
 from graphsig.graph import save_edge_list
 from graphsig.io import (
@@ -594,3 +597,19 @@ def test_cli_snapshot_verbs_stamp_the_run_config_hash(run_out, disk_dataset, tmp
         assert json.load(fh)["meta"]["config_hash"] == want
     with open(os.path.join(out, "atlas.csv")) as fh:
         assert f"config_hash={want}" in fh.readline().split()
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    # every verb pays for what graphsig.cli imports; scipy.special, not
+    # scipy.stats, carries the t and normal distribution functions
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphsig.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = "import sys, graphsig.cli; print('\\n'.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "graphsig.cli" in loaded
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.interpolate", "scipy.ndimage")
+    assert [m for m in loaded if ".".join(m.split(".")[:2]) in heavy] == []

@@ -1,9 +1,12 @@
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
+from graphsig import lab
 from graphsig.dictionary import BLOCK_NAMES
 from graphsig.graph import build_graph
 from graphsig.lab import (
@@ -253,6 +256,28 @@ def test_paired_stats_reference_deltas():
     assert r.ci_low == pytest.approx(0.538, abs=0.02)
     assert r.ci_high == pytest.approx(2.502, abs=0.02)
     assert not r.degenerate
+
+
+@pytest.mark.parametrize("shift", [0.0, -1.0, -1.5])
+def test_p_values_equal_the_scipy_stats_distributions(shift, monkeypatch):
+    normal_args = []
+    ndtr = lab.ndtr
+
+    def recording_ndtr(x):
+        normal_args.append(x)
+        return ndtr(x)
+
+    for n in range(2, 61):
+        d = np.resize(REFERENCE_DELTAS, n) + shift
+        r = paired_stats(d)
+        assert r.t_p == float(2.0 * sps.t.sf(abs(r.t_stat), n - 1))
+        half = float(sps.t.ppf(0.975, n - 1)) * (r.std / math.sqrt(n))
+        assert (r.ci_low, r.ci_high) == (r.mean - half, r.mean + half)
+        with monkeypatch.context() as m:
+            m.setattr(lab, "ndtr", recording_ndtr)
+            _, p, method = wilcoxon_signed_rank(d, exact_limit=0)
+        assert method == "normal"
+        assert p == min(1.0, 2.0 * float(sps.norm.sf(-normal_args[-1])))
 
 
 def test_paired_stats_degenerate_cases():

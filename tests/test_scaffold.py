@@ -298,6 +298,46 @@ def test_evaluate_repeats_seeds_and_summary():
     assert single["std"] is None
 
 
+def test_evaluate_repeats_keeps_the_test_scores_with_the_scaffold():
+    g, X, y = small_dataset()
+    grids = SearchGrids(ks=(20,), r_maxs=(3,), etas=(0.95,), alpha_sets=((1.0,),), ws=(0.5,))
+    spec = SplitSpec(train_per_class=8, val_per_class=6, seed=4)
+    for o in evaluate_repeats(g, X, y, spec, n_repeats=2, grids=grids):
+        want = predict(o.scaffold, o.scaffold.F[o.test])
+        assert len(o.test_scores) == len(want)
+        for got, ref in zip(o.test_scores, want):
+            assert np.array_equal(got, ref)
+        assert o.test_accuracy == accuracy(want[0], y[o.test])
+    bare = evaluate_repeats(g, X, y, spec, n_repeats=1, grids=grids, keep_scaffolds=False)
+    assert bare[0].scaffold is None and bare[0].test_scores is None
+
+
+def test_fit_is_equivariant_under_node_relabelling():
+    g, X, y = make_sbm_dataset(
+        n_per_class=30, n_classes=3, p_within=0.12, p_between=0.02,
+        d=6, shift=2.0, seed=11,
+    )
+    train, _, _ = make_split(y, SplitSpec(train_per_class=10, val_per_class=5, seed=11))
+    perm = np.random.default_rng(3).permutation(g.n)  # node i becomes perm[i]
+    g_p = build_graph(g.n, perm[g.edges])
+    X_p = np.empty_like(X)
+    X_p[perm] = X
+    y_p = np.empty_like(y)
+    y_p[perm] = y
+    train_p = np.sort(perm[train])
+    config = HyperConfig(k=40, r_max=4, eta=0.95, alphas=(0.1, 1.0), w=0.5)
+    sc = fit(g, X, y, train, config)
+    sc_p = fit(g_p, X_p, y_p, train_p, config)
+    assert np.array_equal(sc_p.selection.selected, sc.selection.selected)
+    assert np.allclose(sc_p.selection.scores, sc.selection.scores, rtol=1e-9, atol=0)
+    assert sc_p.selected_blocks == sc.selected_blocks
+    # sparse products sum neighbours in another order: equal up to rounding
+    assert np.allclose(sc_p.F[perm], sc.F, rtol=1e-12, atol=1e-15)
+    yhat = predict(sc, sc.F)[0]
+    yhat_p = predict(sc_p, sc_p.F)[0]
+    assert np.array_equal(yhat_p[perm], yhat)
+
+
 def test_evaluate_repeats_fisher_mode():
     g, X, y = small_dataset()
     grids = SearchGrids(ks=(15,), r_maxs=(2,), etas=(0.9,), alpha_sets=((1.0,),), ws=(0.4,))
