@@ -67,6 +67,7 @@ from .scaffold import (
 )
 from .atlas import (
     DatasetFingerprint,
+    NodeAtlas,
     NodeAtlasRecord,
     QUADRANTS,
     block_shares,

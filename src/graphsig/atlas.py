@@ -20,35 +20,58 @@ selection path can reach them.
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, make_dataclass
 from itertools import combinations
 from operator import attrgetter
 
 import numpy as np
 
 from .conventions import conventions
-from .dictionary import BLOCK_NAMES, BLOCKS, FAMILIES
+from .dictionary import BLOCK_NAMES, BLOCKS, FAMILIES, family_blocks
 from .io import write_csv, write_json
 from .scaffold import predict
 
 QUADRANTS = ("both-correct", "pca-only", "ridge-only", "both-wrong")
 
-@dataclass(frozen=True)
-class NodeAtlasRecord:
-    node: int
-    label: int
-    degree: int
-    pred: int
-    pred_pca: int
-    pred_ridge: int
-    correct: bool
-    quadrant: str
-    zero_evidence: bool
-    block_energy: dict  # all 9 block names -> E_b, inactive blocks 0
-    block_share: dict  # all 9 block names -> pi_b, sums to 1 (or all 0)
-    family_share: dict  # raw/low/high -> share, sums to 1 (or all 0)
-    margin_pca: float  # min_{c != y} score_c - score_y; NaN when missing
-    margin_ridge: float
+@dataclass(frozen=True, eq=False)
+class NodeAtlas:
+    """The atlas of one eval set as columns, one row per eval node in
+    eval order.  ``atlas[i]`` is row i as a ``NodeAtlasRecord``, and
+    iterating gives the rows in order."""
+
+    node: np.ndarray  # int64 ids, as are label, degree and the three preds
+    label: np.ndarray
+    degree: np.ndarray
+    pred: np.ndarray
+    pred_pca: np.ndarray
+    pred_ridge: np.ndarray
+    correct: np.ndarray  # bool
+    quadrant: np.ndarray  # QUADRANTS names
+    zero_evidence: np.ndarray  # bool
+    # (n, k) columns in BLOCK_NAMES or FAMILIES order; share rows sum to 1 (or are all 0)
+    block_energy: np.ndarray = field(metadata={"keys": BLOCK_NAMES})  # E_b, inactive blocks 0
+    block_share: np.ndarray = field(metadata={"keys": BLOCK_NAMES})  # pi_b
+    family_share: np.ndarray = field(metadata={"keys": FAMILIES})
+    margin_pca: np.ndarray  # min_{c != y} score_c - score_y; NaN when missing
+    margin_ridge: np.ndarray
+
+    def __len__(self):
+        return self.node.shape[0]
+
+    def __getitem__(self, i):
+        """Row i: Python scalars, and the (n, k) columns as dicts keyed by
+        block or family name."""
+        row = {}
+        for f in fields(self):
+            value, keys = getattr(self, f.name)[i], f.metadata.get("keys")
+            row[f.name] = value.item() if keys is None else dict(zip(keys, value.tolist()))
+        return NodeAtlasRecord(**row)
+
+
+NodeAtlasRecord = make_dataclass(
+    "NodeAtlasRecord", [f.name for f in fields(NodeAtlas)], frozen=True,
+    namespace={"__module__": __name__, "__doc__": "One NodeAtlas row."},
+)
 
 
 def _row_means(M, cols):
@@ -73,15 +96,15 @@ def _shares(M):
     return np.divide(M, total, out=np.zeros_like(M), where=total > 0)
 
 
-def _family_shares(energy, active_names):
+def _family_shares(energy, active):
     """Family-size-adjusted shares of (n, 9) block evidence: average
-    evidence over the blocks the dictionary actually holds per family,
-    then normalize across the three families.  Averaging over present
-    blocks is what makes an exact duplicate block (equal evidence) leave
-    the shares unchanged."""
+    evidence over the ``active`` blocks (in index order) per family, then
+    normalize across the three families.  Averaging over present blocks
+    is what makes an exact duplicate block (equal evidence) leave the
+    shares unchanged."""
     means = np.zeros((energy.shape[0], len(FAMILIES)))
     for f, fam in enumerate(FAMILIES):
-        cols = [b.index for b in BLOCKS if b.family == fam and b.name in active_names]
+        cols = [b.index for b in family_blocks(fam, active)]
         if cols:
             means[:, f] = _row_means(energy, cols)
     return _shares(means)
@@ -97,7 +120,8 @@ def family_shares(energy: dict, active_names) -> dict:
     """One row of ``_family_shares``: block name -> evidence in, family
     name -> share out; blocks outside ``active_names`` are ignored."""
     row = np.array([[energy.get(n, 0.0) for n in BLOCK_NAMES]], dtype=np.float64)
-    return dict(zip(FAMILIES, _family_shares(row, active_names)[0].tolist()))
+    active = [b for b in BLOCKS if b.name in active_names]
+    return dict(zip(FAMILIES, _family_shares(row, active)[0].tolist()))
 
 
 def _margins(R, y_pos):
@@ -116,20 +140,21 @@ def _margins(R, y_pos):
     return out
 
 
-def node_atlas(scaffold, eval_idx, y, degree=None, scores=None):
-    """One NodeAtlasRecord per eval node, in eval_idx order.
+def node_atlas(scaffold, eval_idx, y, degree=None, scores=None) -> NodeAtlas:
+    """The atlas of the eval nodes, one row per entry of eval_idx.
 
     ``degree`` is the full-graph per-node degree vector (pass g.degree);
     omitted degrees are recorded as 0.  ``scores`` is what
     ``predict(scaffold, scaffold.F[eval_idx])`` returned, when the caller
     has already scored those rows; without it they are scored here.
-    Every field is computed for all eval nodes at once, one block or
-    family at a time, and the records are built at the end.
+    Every column is computed for all eval nodes at once, one block or
+    family at a time.
     """
     eval_idx = np.asarray(eval_idx, dtype=np.int64)
-    labels = np.asarray(y)[eval_idx]
+    labels = np.asarray(y)[eval_idx].astype(np.int64)
     F_rows = scaffold.F[eval_idx]
     yhat, _, Rp, Rr = scores if scores is not None else predict(scaffold, F_rows)
+    pred = yhat.astype(np.int64)
     pred_pca = scaffold.classes[np.argmin(Rp, axis=1)]
     pred_ridge = scaffold.classes[np.argmin(Rr, axis=1)]
     # QUADRANTS is ordered by (pca wrong, ridge wrong) read as two bits
@@ -137,57 +162,31 @@ def node_atlas(scaffold, eval_idx, y, degree=None, scores=None):
 
     class_pos = {int(c): k for k, c in enumerate(scaffold.classes)}
     y_pos = np.array([class_pos.get(int(c), -1) for c in labels], dtype=np.int64)
-    m_pca = _margins(Rp, y_pos)
-    m_ridge = _margins(Rr, y_pos)
 
     sel = scaffold.selection
     contrib = np.abs(F_rows) * sel.scores[sel.selected][None, :]
     block_index = np.array([b.index for b in scaffold.selected_blocks])
-    active = set(scaffold.selected_blocks)
+    active = sorted(set(scaffold.selected_blocks), key=attrgetter("index"))
     energy = np.zeros((eval_idx.size, len(BLOCKS)))
     for b in active:
         energy[:, b.index] = _row_means(contrib, np.flatnonzero(block_index == b.index))
-    zero_evidence = _row_sums(energy) == 0.0
-    block_share = _shares(energy)
-    family_share = _family_shares(energy, {b.name for b in active})
 
-    degrees = (
-        np.asarray(degree)[eval_idx] if degree is not None else np.zeros(eval_idx.size)
+    return NodeAtlas(
+        node=eval_idx,
+        label=labels,
+        degree=np.zeros_like(eval_idx) if degree is None else np.asarray(degree, np.int64)[eval_idx],
+        pred=pred,
+        pred_pca=pred_pca.astype(np.int64),
+        pred_ridge=pred_ridge.astype(np.int64),
+        correct=pred == labels,
+        quadrant=np.asarray(QUADRANTS)[quadrant],
+        zero_evidence=_row_sums(energy) == 0.0,
+        block_energy=energy,
+        block_share=_shares(energy),
+        family_share=_family_shares(energy, active),
+        margin_pca=_margins(Rp, y_pos),
+        margin_ridge=_margins(Rr, y_pos),
     )
-    columns = zip(
-        eval_idx.tolist(),
-        labels.astype(np.int64).tolist(),
-        degrees.astype(np.int64).tolist(),
-        yhat.astype(np.int64).tolist(),
-        pred_pca.astype(np.int64).tolist(),
-        pred_ridge.astype(np.int64).tolist(),
-        quadrant.tolist(),
-        zero_evidence.tolist(),
-        energy.tolist(),
-        block_share.tolist(),
-        family_share.tolist(),
-        m_pca.tolist(),
-        m_ridge.tolist(),
-    )
-    return [
-        NodeAtlasRecord(
-            node=node,
-            label=label,
-            degree=deg,
-            pred=pred,
-            pred_pca=p_pca,
-            pred_ridge=p_ridge,
-            correct=pred == label,
-            quadrant=QUADRANTS[quad],
-            zero_evidence=zero,
-            block_energy=dict(zip(BLOCK_NAMES, e)),
-            block_share=dict(zip(BLOCK_NAMES, s)),
-            family_share=dict(zip(FAMILIES, fs)),
-            margin_pca=mp,
-            margin_ridge=mr,
-        )
-        for node, label, deg, pred, p_pca, p_ridge, quad, zero, e, s, fs, mp, mr in columns
-    ]
 
 
 @dataclass(frozen=True)
@@ -209,25 +208,27 @@ class DatasetFingerprint:
     per_block_means: dict  # block name -> eval mean of pi_b
 
 
-def dataset_fingerprint(records, subspaces) -> DatasetFingerprint:
-    n = len(records)
+def dataset_fingerprint(atlas: NodeAtlas, subspaces) -> DatasetFingerprint:
+    n = len(atlas)
     if n == 0:
         raise ValueError("fingerprint needs at least one eval node")
-    fam = {f: float(np.mean([r.family_share[f] for r in records])) for f in FAMILIES}
-    quad = {
-        qd: float(np.mean([r.quadrant == qd for r in records])) for qd in QUADRANTS
-    }
-    correct_high = [r.family_share["high"] for r in records if r.correct]
-    wrong_high = [r.family_share["high"] for r in records if not r.correct]
-    h_c = float(np.mean(correct_high)) if correct_high else None
-    h_w = float(np.mean(wrong_high)) if wrong_high else None
+    # each mean reads one contiguous 1-D column, which np.mean sums
+    # pairwise as it does a list of the values; an axis-0 mean of the
+    # table adds row after row and differs in the last bits
+    fam = dict(zip(FAMILIES, np.ascontiguousarray(atlas.family_share.T)))
+    block = dict(zip(BLOCK_NAMES, np.ascontiguousarray(atlas.block_share.T)))
+    quad = {qd: float(np.mean(atlas.quadrant == qd)) for qd in QUADRANTS}
+    correct_high = fam["high"][atlas.correct]
+    wrong_high = fam["high"][~atlas.correct]
+    h_c = float(np.mean(correct_high)) if correct_high.size else None
+    h_w = float(np.mean(wrong_high)) if wrong_high.size else None
     shift = h_w - h_c if (h_c is not None and h_w is not None) else None
     return DatasetFingerprint(
         n_eval=n,
-        accuracy=float(np.mean([r.correct for r in records])),
-        raw_share=fam["raw"],
-        low_share=fam["low"],
-        high_share=fam["high"],
+        accuracy=float(np.mean(atlas.correct)),
+        raw_share=float(np.mean(fam["raw"])),
+        low_share=float(np.mean(fam["low"])),
+        high_share=float(np.mean(fam["high"])),
         mean_subspace_dim=float(np.mean([s.r for s in subspaces])),
         ridge_only_frac=quad["ridge-only"],
         both_wrong_frac=quad["both-wrong"],
@@ -235,10 +236,7 @@ def dataset_fingerprint(records, subspaces) -> DatasetFingerprint:
         high_share_correct=h_c,
         high_share_wrong=h_w,
         high_share_shift=shift,
-        per_block_means={
-            name: float(np.mean([r.block_share[name] for r in records]))
-            for name in BLOCK_NAMES
-        },
+        per_block_means={name: float(np.mean(col)) for name, col in block.items()},
     )
 
 
@@ -279,18 +277,21 @@ def fingerprint_payload(fp: DatasetFingerprint, dataset_name, split_mode, meta=N
     return payload
 
 
-# Every per-node column once: (header, its value for one NodeAtlasRecord).
-# atlas.csv writes them all; the phase files pick theirs by header.
+# Every atlas.csv column once: (header, its values as a function of the
+# NodeAtlas).  atlas.csv writes them all; the phase files pick theirs by
+# header.  Flags are written as 0/1.
 ATLAS_COLUMNS = (
     *((n, attrgetter(n)) for n in ("node", "label", "degree", "pred", "pred_pca", "pred_ridge")),
-    ("correct", lambda r: int(r.correct)),
-    ("quadrant", lambda r: r.quadrant),
-    ("zero_evidence", lambda r: int(r.zero_evidence)),
-    *((f"{f}_share_pct", lambda r, f=f: 100.0 * r.family_share[f]) for f in FAMILIES),
-    ("margin_pca", lambda r: r.margin_pca),
-    ("margin_ridge", lambda r: r.margin_ridge),
-    *((f"energy[{n}]", lambda r, n=n: r.block_energy[n]) for n in BLOCK_NAMES),
-    *((f"share_pct[{n}]", lambda r, n=n: 100.0 * r.block_share[n]) for n in BLOCK_NAMES),
+    ("correct", lambda a: a.correct.astype(np.int64)),
+    ("quadrant", attrgetter("quadrant")),
+    ("zero_evidence", lambda a: a.zero_evidence.astype(np.int64)),
+    *((f"{f}_share_pct", lambda a, j=j: 100.0 * a.family_share[:, j])
+      for j, f in enumerate(FAMILIES)),
+    ("margin_pca", attrgetter("margin_pca")),
+    ("margin_ridge", attrgetter("margin_ridge")),
+    *((f"energy[{n}]", lambda a, j=j: a.block_energy[:, j]) for j, n in enumerate(BLOCK_NAMES)),
+    *((f"share_pct[{n}]", lambda a, j=j: 100.0 * a.block_share[:, j])
+      for j, n in enumerate(BLOCK_NAMES)),
 )
 
 PHASE_FILES = (
@@ -300,7 +301,7 @@ PHASE_FILES = (
 
 
 def emit_figure_data(
-    records,
+    atlas: NodeAtlas,
     fingerprint: DatasetFingerprint,
     out_dir,
     subspaces,
@@ -310,7 +311,7 @@ def emit_figure_data(
 ):
     """Emit the plot-data bundle for one evaluated split.
 
-    atlas.csv carries every record field; the phase files carry the node
+    atlas.csv carries every atlas column; the phase files carry the node
     rows figures are drawn from; simplex.csv and error_shift.csv carry
     one dataset-level row each.  Share-like values are percentages.
     Missing values (margins of unseen classes, shift without errors)
@@ -322,12 +323,10 @@ def emit_figure_data(
     def write(name, header, rows):
         write_csv(os.path.join(out_dir, name), header, rows, meta)
 
-    header = [h for h, _ in ATLAS_COLUMNS]
-    rows = [[value(r) for _, value in ATLAS_COLUMNS] for r in records]
-    write("atlas.csv", header, rows)
+    columns = {header: value(atlas).tolist() for header, value in ATLAS_COLUMNS}
+    write("atlas.csv", list(columns), zip(*columns.values()))
     for name, picked in PHASE_FILES:
-        idx = [header.index(h) for h in picked]
-        write(name, picked, [[row[i] for i in idx] for row in rows])
+        write(name, picked, zip(*(columns[h] for h in picked)))
 
     payload = fingerprint_payload(fingerprint, dataset_name, split_mode, meta)
     write_json(os.path.join(out_dir, "fingerprint.json"), payload)
@@ -346,7 +345,8 @@ def emit_figure_data(
         ["class", "subspace_dim", "n_members", "energy_fraction"],
         [[s.label, s.r, s.n_members, s.energy_fraction] for s in subspaces],
     )
-    confusion = Counter((r.label, r.pred) for r in records if not r.correct)
+    wrong = ~atlas.correct
+    confusion = Counter(zip(atlas.label[wrong].tolist(), atlas.pred[wrong].tolist()))
     write(
         "subspace_confusion.csv",
         ["class_a", "class_b", "overlap", "confused_a_as_b", "confused_b_as_a"],

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -166,10 +167,10 @@ def _write_atlas(bundle, scaffold, eval_idx, out_dir, meta, scores=None):
     """The atlas, the fingerprint and the figure files of one eval set;
     returns the fingerprint.  ``scores`` are the eval rows' scores when
     the caller already has them (see ``node_atlas``)."""
-    records = node_atlas(scaffold, eval_idx, bundle.y, bundle.graph.degree, scores)
-    fp = dataset_fingerprint(records, scaffold.subspaces)
+    atlas = node_atlas(scaffold, eval_idx, bundle.y, bundle.graph.degree, scores)
+    fp = dataset_fingerprint(atlas, scaffold.subspaces)
     emit_figure_data(
-        records,
+        atlas,
         fp,
         out_dir,
         subspaces=scaffold.subspaces,
@@ -386,7 +387,10 @@ def _atlas_like(args):
 
     yield "select-eval-nodes"
     if args.eval_nodes:
-        eval_idx = np.loadtxt(args.eval_nodes, dtype=np.int64, ndmin=1)
+        with warnings.catch_warnings():
+            # an empty file is rejected below, in the one error line
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            eval_idx = np.loadtxt(args.eval_nodes, dtype=np.int64, ndmin=1)
     else:
         key = {"train": None, "val": "val_idx", "test": "test_idx"}[args.eval]
         if key is None:
@@ -395,6 +399,9 @@ def _atlas_like(args):
             eval_idx = np.asarray(extra[key], dtype=np.int64)
         else:
             raise ValueError(f"snapshot lacks {key}; pass --eval-nodes with explicit ids")
+    if eval_idx.size == 0:
+        where = args.eval_nodes or f"the snapshot's {args.eval} split"
+        raise ValueError(f"empty eval set: {where} holds no node ids")
     n = bundle.graph.n
     outside = eval_idx[(eval_idx < 0) | (eval_idx >= n)]
     if outside.size:

@@ -21,6 +21,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -63,14 +64,8 @@ def _load_features_csv(path) -> np.ndarray:
             raise ValueError(
                 f"{path}:1: empty first line, expected a header or a feature row"
             )
-        fields = first.split(",")
-        d = len(fields)
-        # the header is optional: a first line of numbers is the first node's row
-        try:
-            rows.append([float(p) for p in fields])
-        except ValueError:
-            pass
-        for lineno, line in enumerate(fh, start=2):
+        d = len(first.split(","))
+        for lineno, line in enumerate(chain([first], fh), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -80,11 +75,16 @@ def _load_features_csv(path) -> np.ndarray:
                     f"{path}:{lineno}: expected {d} columns, got {len(parts)}"
                 )
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError:
+                if lineno == 1:  # the optional header: a line of numbers is a row
+                    continue
                 raise ValueError(
                     f"{path}:{lineno}: non-numeric feature value in {line!r}"
                 ) from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: non-finite feature value in {line!r}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no feature rows")
     return np.asarray(rows, dtype=np.float64)
@@ -102,13 +102,18 @@ def _load_features_binary(path) -> np.ndarray:
         raise ValueError(
             f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
         )
-    return (
-        np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
-    )
+    X = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
+    # a float64 sum of float32 values cannot overflow, so it is finite
+    # exactly when every entry is, and it needs no n x d temporary
+    if not np.isfinite(X.sum()):
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"{path}: non-finite feature value at row {row}, column {col}")
+    return X
 
 
 def load_features(path) -> np.ndarray:
-    """Load features from CSV or the packed binary container (sniffed)."""
+    """Load features from CSV or the packed binary container (sniffed);
+    every entry must be finite."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == FEATURE_MAGIC:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, stdtr, stdtrit
 
-from .dictionary import BLOCK_NAMES
+from .dictionary import BLOCK_NAMES, BLOCKS
 from .graph import build_graph
 from .scaffold import SearchGrids, evaluate_repeats, summarize_repeats
 
@@ -34,14 +34,9 @@ class VariantSpec:
 VARIANTS = (
     VariantSpec("full", _ALL),
     VariantSpec("raw_only", ("X",)),
-    VariantSpec(
-        "no_high_pass",
-        tuple(n for n in _ALL if n not in ("X-ProwX", "ProwX-Prow2X", "X-PsymX")),
-    ),
+    VariantSpec("no_high_pass", tuple(b.name for b in BLOCKS if b.family != "high")),
     VariantSpec("no_p3x", tuple(n for n in _ALL if n != "Prow3X")),
-    VariantSpec(
-        "no_sym", tuple(n for n in _ALL if n not in ("PsymX", "Psym2X", "X-PsymX"))
-    ),
+    VariantSpec("no_sym", tuple(b.name for b in BLOCKS if b.operator != "sym")),
     VariantSpec("pca_only", _ALL, ws=(1.0,)),
     VariantSpec("ridge_only", _ALL, ws=(0.0,)),
 )

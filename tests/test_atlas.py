@@ -4,6 +4,9 @@ import filecmp
 import json
 import math
 import os
+from collections import Counter
+from itertools import combinations
+from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from graphsig.atlas import (
+    PHASE_FILES,
     QUADRANTS,
+    NodeAtlas,
     NodeAtlasRecord,
     _margins,
     block_shares,
@@ -26,6 +31,7 @@ from graphsig.atlas import (
 )
 from graphsig.dictionary import BLOCK_NAMES, BLOCKS, FAMILIES
 from graphsig.graph import build_graph
+from graphsig.io import write_csv
 from graphsig.scaffold import HyperConfig, SplitSpec, branch_scores, fit, make_split, predict
 from graphsig.synth import make_sbm_dataset
 
@@ -239,6 +245,18 @@ def test_zero_evidence_flag():
     assert all(v == 0.0 for v in rec.family_share.values())
 
 
+def as_table(records):
+    """The NodeAtlas whose rows are the given records."""
+    columns = {}
+    for f in dataclasses.fields(NodeAtlas):
+        values = [getattr(r, f.name) for r in records]
+        keys = f.metadata.get("keys")
+        if keys is not None:
+            values = np.array([[v[k] for k in keys] for v in values]).reshape(-1, len(keys))
+        columns[f.name] = np.array(values)
+    return NodeAtlas(**columns)
+
+
 def make_record(node, correct, quadrant, high, label=0, pred=0):
     fam = {"raw": (1.0 - high) / 2, "low": (1.0 - high) / 2, "high": high}
     share = {n: 1.0 / 9 for n in BLOCK_NAMES}
@@ -256,7 +274,7 @@ def test_fingerprint_error_shift_hand_example():
         make_record(1, False, "both-wrong", high=0.6),
     ]
     subs = [SimpleNamespace(r=2), SimpleNamespace(r=4)]
-    fp = dataset_fingerprint(records, subs)
+    fp = dataset_fingerprint(as_table(records), subs)
     assert fp.n_eval == 2
     assert fp.accuracy == pytest.approx(0.5)
     assert fp.high_share_correct == pytest.approx(0.2)
@@ -270,7 +288,7 @@ def test_fingerprint_error_shift_hand_example():
 
 def test_fingerprint_none_when_no_errors():
     records = [make_record(i, True, "both-correct", high=0.3) for i in range(4)]
-    fp = dataset_fingerprint(records, [SimpleNamespace(r=1)])
+    fp = dataset_fingerprint(as_table(records), [SimpleNamespace(r=1)])
     assert fp.high_share_wrong is None
     assert fp.high_share_shift is None
     assert fp.high_share_correct == pytest.approx(0.3)
@@ -278,7 +296,7 @@ def test_fingerprint_none_when_no_errors():
     assert payload["delta_H"] is None
     assert payload["H_correct"] == pytest.approx(30.0)
     with pytest.raises(ValueError, match="at least one"):
-        dataset_fingerprint([], [])
+        dataset_fingerprint(as_table([]), [])
 
 
 def test_subspace_overlap_bounds():
@@ -514,10 +532,10 @@ def test_node_atlas_equals_the_per_node_loop(case, tmp_path):
         assert math.isnan(got[0].margin_pca) and not math.isnan(got[-1].margin_pca)
 
     out = {}
-    for tag, records in (("loop", want), ("array", got)):
+    for tag, atlas in (("loop", as_table(want)), ("array", got)):
         out[tag] = str(tmp_path / tag)
         emit_figure_data(
-            records, dataset_fingerprint(records, sc.subspaces), out[tag],
+            atlas, dataset_fingerprint(atlas, sc.subspaces), out[tag],
             subspaces=sc.subspaces, dataset_name="toy", split_mode="per-class",
             meta={"config_hash": "abc"},
         )
@@ -535,3 +553,142 @@ def test_one_row_shares_equal_the_dict_rules(energy, active):
     energy = {n: (e if n in active else 0.0) for n, e in energy.items()}
     assert block_shares(energy) == _loop_block_shares(energy)
     assert family_shares(energy, active) == _loop_family_shares(energy, active)
+
+
+# --------------------------------------- the per-record fingerprint and files
+
+
+def loop_fingerprint(records, subspaces):
+    """The fingerprint as list means over the records."""
+    fam = {f: float(np.mean([r.family_share[f] for r in records])) for f in FAMILIES}
+    quad = {
+        qd: float(np.mean([r.quadrant == qd for r in records])) for qd in QUADRANTS
+    }
+    correct_high = [r.family_share["high"] for r in records if r.correct]
+    wrong_high = [r.family_share["high"] for r in records if not r.correct]
+    h_c = float(np.mean(correct_high)) if correct_high else None
+    h_w = float(np.mean(wrong_high)) if wrong_high else None
+    return dict(
+        n_eval=len(records),
+        accuracy=float(np.mean([r.correct for r in records])),
+        raw_share=fam["raw"],
+        low_share=fam["low"],
+        high_share=fam["high"],
+        mean_subspace_dim=float(np.mean([s.r for s in subspaces])),
+        ridge_only_frac=quad["ridge-only"],
+        both_wrong_frac=quad["both-wrong"],
+        quadrant_fractions=quad,
+        high_share_correct=h_c,
+        high_share_wrong=h_w,
+        high_share_shift=h_w - h_c if (h_c is not None and h_w is not None) else None,
+        per_block_means={
+            name: float(np.mean([r.block_share[name] for r in records]))
+            for name in BLOCK_NAMES
+        },
+    )
+
+
+# (header, its value for one record)
+LOOP_COLUMNS = (
+    *((n, attrgetter(n)) for n in ("node", "label", "degree", "pred", "pred_pca", "pred_ridge")),
+    ("correct", lambda r: int(r.correct)),
+    ("quadrant", lambda r: r.quadrant),
+    ("zero_evidence", lambda r: int(r.zero_evidence)),
+    *((f"{f}_share_pct", lambda r, f=f: 100.0 * r.family_share[f]) for f in FAMILIES),
+    ("margin_pca", lambda r: r.margin_pca),
+    ("margin_ridge", lambda r: r.margin_ridge),
+    *((f"energy[{n}]", lambda r, n=n: r.block_energy[n]) for n in BLOCK_NAMES),
+    *((f"share_pct[{n}]", lambda r, n=n: 100.0 * r.block_share[n]) for n in BLOCK_NAMES),
+)
+
+
+def loop_node_files(records, subspaces, out_dir, meta):
+    """atlas.csv, the phase files and subspace_confusion.csv, row by row."""
+    os.makedirs(out_dir)
+    header = [h for h, _ in LOOP_COLUMNS]
+    rows = [[value(r) for _, value in LOOP_COLUMNS] for r in records]
+    write_csv(os.path.join(out_dir, "atlas.csv"), header, rows, meta)
+    for name, picked in PHASE_FILES:
+        idx = [header.index(h) for h in picked]
+        write_csv(os.path.join(out_dir, name), picked, [[row[i] for i in idx] for row in rows], meta)
+    confusion = Counter((r.label, r.pred) for r in records if not r.correct)
+    write_csv(
+        os.path.join(out_dir, "subspace_confusion.csv"),
+        ["class_a", "class_b", "overlap", "confused_a_as_b", "confused_b_as_a"],
+        [
+            [a.label, b.label, subspace_overlap(a, b),
+             confusion[a.label, b.label], confusion[b.label, a.label]]
+            for a, b in combinations(subspaces, 2)
+        ],
+        meta,
+    )
+    return sorted(os.listdir(out_dir))
+
+
+def hand_built_atlas(n, seed=0):
+    """A table of random rows; ``correct`` is drawn on its own, not from
+    pred == label, and some rows carry no evidence or no margin."""
+    rng = np.random.default_rng(seed)
+    energy = rng.random((n, len(BLOCK_NAMES))) * (rng.random((n, 1)) < 0.95)
+    family = rng.random((n, len(FAMILIES))) * (energy[:, :1] > 0)
+    total = energy.sum(axis=1, keepdims=True)
+    family_total = family.sum(axis=1, keepdims=True)
+    margins = rng.standard_normal((2, n))
+    margins[:, rng.random(n) < 0.05] = np.nan
+    return NodeAtlas(
+        node=rng.integers(0, 10 * n, n),
+        label=rng.integers(0, 3, n),
+        degree=rng.integers(0, 50, n),
+        pred=rng.integers(0, 3, n),
+        pred_pca=rng.integers(0, 3, n),
+        pred_ridge=rng.integers(0, 3, n),
+        correct=rng.random(n) < 0.7,
+        quadrant=np.asarray(QUADRANTS)[rng.integers(0, 4, n)],
+        zero_evidence=total[:, 0] == 0,
+        block_energy=energy,
+        block_share=np.divide(energy, total, out=np.zeros_like(energy), where=total > 0),
+        family_share=np.divide(family, family_total, out=np.zeros_like(family),
+                               where=family_total > 0),
+        margin_pca=margins[0],
+        margin_ridge=margins[1],
+    )
+
+
+def table_cases():
+    for name, sc, eval_idx, y, degree in atlas_cases():
+        yield name, node_atlas(sc, eval_idx, y, degree), sc.subspaces
+    # more rows than numpy's 8,192-element reduction buffer
+    basis = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 6)))[0]
+    subspaces = [
+        SimpleNamespace(label=c, r=2, basis=basis[:, c : c + 2], n_members=10, energy_fraction=0.9)
+        for c in range(3)
+    ]
+    yield "hand-built-9000", hand_built_atlas(9000), subspaces
+
+
+@pytest.mark.parametrize("case", list(table_cases()), ids=lambda c: c[0])
+def test_fingerprint_and_node_files_equal_the_record_loop(case, tmp_path):
+    name, atlas, subspaces = case
+    records = list(atlas)
+    assert dataclasses.asdict(dataset_fingerprint(atlas, subspaces)) == loop_fingerprint(
+        records, subspaces
+    )
+    meta = {"config_hash": "abc"}
+    emit_figure_data(
+        atlas, dataset_fingerprint(atlas, subspaces), str(tmp_path / "table"),
+        subspaces=subspaces, meta=meta,
+    )
+    for n in loop_node_files(records, subspaces, str(tmp_path / "loop"), meta):
+        assert filecmp.cmp(
+            os.path.join(tmp_path, "loop", n), os.path.join(tmp_path, "table", n), shallow=False
+        ), n
+
+
+def test_table_rows_round_trip_through_records():
+    atlas = hand_built_atlas(50)
+    back = as_table(list(atlas))
+    for f in dataclasses.fields(NodeAtlas):
+        np.testing.assert_array_equal(getattr(back, f.name), getattr(atlas, f.name))
+    assert atlas[-1].node == atlas.node[-1]
+    with pytest.raises(IndexError):
+        atlas[len(atlas)]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,23 @@ def test_feature_csv_line_errors(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError, match="header"):
         load_features(str(p))
+
+
+def test_features_must_be_finite(tmp_path):
+    p = tmp_path / "x.csv"
+    for bad in ("nan", "inf", "-Infinity"):
+        p.write_text(f"f0,f1\n1,2\n3,{bad}\n")
+        with pytest.raises(ValueError, match=r"x\.csv:3: non-finite feature value"):
+            load_features(str(p))
+    p.write_text("nan,1\n2,3\n")  # a first line of numbers is a row, not a header
+    with pytest.raises(ValueError, match=r"x\.csv:1: non-finite"):
+        load_features(str(p))
+    X = np.ones((3, 4))
+    X[2, 1] = -np.inf
+    path = str(tmp_path / "x.bin")
+    save_features_binary(path, X)
+    with pytest.raises(ValueError, match=r"x\.bin: non-finite feature value at row 2, column 1"):
+        load_features(path)
 
 
 def test_feature_csv_without_header_keeps_first_row(tmp_path):
@@ -551,6 +569,26 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
             "select-eval-nodes",
             id="eval-node-outside-graph",
         ),
+        pytest.param(
+            ["fingerprint", *DATA, "--snapshot", "{bare}", "--eval-nodes", "{empty_ids}"],
+            "select-eval-nodes",
+            id="empty-eval-nodes-file",
+        ),
+        pytest.param(
+            ["atlas", *DATA, "--snapshot", "{empty_val}", "--eval", "val"],
+            "select-eval-nodes",
+            id="snapshot-with-empty-val",
+        ),
+        pytest.param(
+            ["prototype", "--edges", "{edges}", "--features", "{nan_csv}", "--method", "knn"],
+            "load-dataset",
+            id="nan-feature-csv",
+        ),
+        pytest.param(
+            ["run", "--edges", "{edges}", "--features", "{inf_bin}", "--labels", "{labels}"],
+            "load-dataset",
+            id="inf-feature-gsf1",
+        ),
         pytest.param(["paired"], "load-results", id="paired-without-inputs"),
         pytest.param(["run", *DATA, "--repeats", "0"], "evaluate", id="zero-repeats"),
         # the default 20 train / 30 val request leaves 25-member classes no test node
@@ -568,12 +606,28 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
 def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, capsys):
     bad_ids = tmp_path / "bad_ids.txt"
     bad_ids.write_text("-1\n3\n")  # -1 would wrap around to the last node
+    (tmp_path / "empty_ids.txt").write_text("")
+    with open(bare_snapshot) as fh:
+        snapshot = json.load(fh)
+    (tmp_path / "empty_val.json").write_text(json.dumps(dict(snapshot, extra={"val_idx": []})))
+    with open(disk_dataset["features"]) as fh:
+        lines = fh.read().splitlines()
+    lines[4] = "nan," + lines[4].split(",", 1)[1]  # float("nan") parses
+    (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
+    X = disk_dataset["X"].copy()
+    X[3, 1] = np.inf
+    save_features_binary(str(tmp_path / "inf.bin"), X)
     paths = dict(
         disk_dataset, missing=str(tmp_path / "missing.csv"), bare=bare_snapshot,
-        bad_ids=str(bad_ids),
+        bad_ids=str(bad_ids), empty_ids=str(tmp_path / "empty_ids.txt"),
+        empty_val=str(tmp_path / "empty_val.json"), nan_csv=str(tmp_path / "nan.csv"),
+        inf_bin=str(tmp_path / "inf.bin"),
     )
     out = tmp_path / "out"
-    code = main([a.format(**paths) for a in argv] + ["--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([a.format(**paths) for a in argv] + ["--out", str(out)])
+    assert [str(w.message) for w in caught] == []  # the error line says it all
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
