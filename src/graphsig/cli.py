@@ -506,7 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("paired", help="paired statistics between two runs")
     pd.add_argument("--a", default=None, help="results.json of run A")
     pd.add_argument("--b", default=None, help="results.json of run B")
-    pd.add_argument("--deltas", type=_floats, default=None, help="explicit deltas (pp)")
+    pd.add_argument(
+        "--deltas", type=_floats, default=None, help="explicit deltas (pp), as --deltas=-1.5,0.5"
+    )
     pd.add_argument("--out", required=True)
     pd.set_defaults(fn=cmd_paired)
     return p

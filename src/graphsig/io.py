@@ -8,9 +8,10 @@ header, row/column counts, row-major little-endian float32 payload).
 Labels of any integer or string alphabet are remapped to contiguous
 class ids with the map kept alongside.
 
-A snapshot file captures everything a fitted scaffold needs to predict
-again without refitting, except the dataset itself: the dictionary is
-rebuilt deterministically from (graph, features) at load time.
+A snapshot file records what a fit read besides the dataset itself: the
+configuration, the train and Fisher rows and their labels.  Loading it
+refits the scaffold on (graph, features), which on the same build gives
+the saved scaffold bit for bit.
 """
 
 import csv
@@ -25,15 +26,13 @@ from itertools import chain
 
 import numpy as np
 
-from .conventions import FORMAT_VERSION, PACKAGE_VERSION, STD_MODE, conventions
-from .dictionary import BLOCK_NAMES, build_dictionary
-from .fisher import FisherSelection, restrict
+from .conventions import FORMAT_VERSION, PACKAGE_VERSION, conventions
+from .dictionary import BLOCK_NAMES
 from .graph import build_graph, load_edge_list
-from .ridge import RidgeModel
-from .scaffold import FittedScaffold, HyperConfig, SearchGrids, SplitSpec
-from .subspace import ClassSubspace
+from .scaffold import FittedScaffold, HyperConfig, SearchGrids, SplitSpec, fit
 
 FEATURE_MAGIC = b"GSF1"
+SNAPSHOT_VERSION = 2
 
 
 # ------------------------------------------------------------------ features
@@ -305,44 +304,23 @@ def save_edge_provenance(path, info: dict) -> None:
 
 
 def save_snapshot(path, scaffold: FittedScaffold, extra=None) -> None:
-    """Persist a fitted scaffold as self-describing JSON.
+    """Persist what a fitted scaffold read, as self-describing JSON.
 
-    Holds the selected coordinates with their scores, per-class centers
-    and bases, dual ridge weights, the standardizers, and the training
-    indices the dual form needs; rebuilding the dictionary from the
-    dataset at load time supplies the rest.
+    Holds the configuration, the train and Fisher rows, their labels
+    (every other node's label is -1, so no test label is stored) and the
+    dictionary width; no fitted value is written, because the fit is a
+    deterministic function of these and the dataset.
     """
-    sel = scaffold.selection
     payload = {
-        "format_version": FORMAT_VERSION,
+        "format_version": SNAPSHOT_VERSION,
         "kind": "fitted-scaffold",
         "code_version": PACKAGE_VERSION,
         "config": scaffold.config.to_dict(),
-        "selected": scaffold.selection.selected.tolist(),
-        "q_selected": sel.scores[sel.selected].tolist(),
-        "n_coordinates": int(sel.scores.shape[0]),
-        "classes": scaffold.classes.tolist(),
-        "subspaces": [
-            {
-                "label": int(s.label),
-                "center": s.center.tolist(),
-                "basis": s.basis.tolist(),
-                "r": int(s.r),
-                "energy_fraction": float(s.energy_fraction),
-                "n_members": int(s.n_members),
-            }
-            for s in scaffold.subspaces
-        ],
-        "ridge": {
-            "alphas": list(scaffold.ridge.alphas),
-            "sigmas": list(scaffold.ridge.sigmas),
-            "betas": [b.tolist() for b in scaffold.ridge.betas],
-        },
-        "sigma_pca": scaffold.sigma_pca,
-        "sigma_ridge": scaffold.sigma_ridge,
         "train_idx": scaffold.train_idx.tolist(),
-        "epsilon": scaffold.epsilon,
-        "std_mode": STD_MODE,
+        "fisher_idx": scaffold.fisher_idx.tolist(),
+        "labels": scaffold.labels.tolist(),
+        "n_coordinates": scaffold.n_coordinates,
+        "conventions": conventions(),
     }
     if extra:
         payload["extra"] = extra
@@ -350,67 +328,44 @@ def save_snapshot(path, scaffold: FittedScaffold, extra=None) -> None:
 
 
 def load_snapshot(path, g, X) -> FittedScaffold:
-    """Rebuild a predict-ready scaffold from a snapshot plus its dataset.
+    """Refit the scaffold a snapshot records on its dataset (g, X).
 
-    The snapshot's ``extra`` dict (empty when absent) comes back as the
-    scaffold's ``extra``, so callers need not parse the file again.
+    The result is ``fit`` on the recorded inputs, so on the same build it
+    equals the scaffold that was saved, bit for bit.  The snapshot's
+    ``extra`` dict (empty when absent) comes back as the scaffold's
+    ``extra``, so callers need not parse the file again.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("kind") != "fitted-scaffold":
         raise ValueError(f"{path}: not a scaffold snapshot")
-    if payload["format_version"] > FORMAT_VERSION:
+    version = payload.get("format_version", 0)
+    if version > SNAPSHOT_VERSION:
         raise ValueError(
-            f"{path}: format version {payload['format_version']} is newer "
-            f"than supported {FORMAT_VERSION}"
+            f"{path}: format version {version} is newer than supported {SNAPSHOT_VERSION}"
         )
-    config = HyperConfig.from_dict(payload["config"])
-    dictionary = build_dictionary(g, X, config.active_blocks)
-    if dictionary.p != payload["n_coordinates"]:
+    if version < SNAPSHOT_VERSION:
         raise ValueError(
-            f"{path}: dictionary has {dictionary.p} coordinates, snapshot "
+            f"{path}: format version {version} is older than supported "
+            f"{SNAPSHOT_VERSION}: re-run `graphsig run`"
+        )
+    labels = np.asarray(payload["labels"], dtype=np.int64)
+    if labels.shape[0] != g.n:
+        raise ValueError(f"{path}: {labels.shape[0]} labels for a graph of {g.n} nodes")
+    train_idx = np.asarray(payload["train_idx"], dtype=np.int64)
+    fisher_idx = np.asarray(payload["fisher_idx"], dtype=np.int64)
+    for key, idx in (("train_idx", train_idx), ("fisher_idx", fisher_idx)):
+        outside = idx[(idx < 0) | (idx >= g.n)]
+        if outside.size:
+            raise ValueError(f"{path}: {key} node id {outside[0]} outside [0, {g.n})")
+        unlabeled = idx[labels[idx] < 0]
+        if unlabeled.size:
+            raise ValueError(f"{path}: {key} node {unlabeled[0]} has no label")
+    config = HyperConfig.from_dict(payload["config"])
+    scaffold = fit(g, X, labels, train_idx, config, fisher_idx=fisher_idx)
+    if scaffold.n_coordinates != payload["n_coordinates"]:
+        raise ValueError(
+            f"{path}: dictionary has {scaffold.n_coordinates} coordinates, snapshot "
             f"was built over {payload['n_coordinates']}"
         )
-    selected = np.asarray(payload["selected"], dtype=np.int64)
-    scores = np.zeros(dictionary.p)
-    scores[selected] = np.asarray(payload["q_selected"])
-    selection = FisherSelection(
-        scores=scores,
-        selected=selected,
-        k_requested=config.k,
-        k_eff=int(selected.shape[0]),
-    )
-    F, blocks = restrict(dictionary, selected)
-    train_idx = np.asarray(payload["train_idx"], dtype=np.int64)
-    subspaces = [
-        ClassSubspace(
-            label=int(s["label"]),
-            center=np.asarray(s["center"]),
-            basis=np.asarray(s["basis"]).reshape(len(s["center"]), int(s["r"])),
-            r=int(s["r"]),
-            energy_fraction=float(s["energy_fraction"]),
-            n_members=int(s["n_members"]),
-        )
-        for s in payload["subspaces"]
-    ]
-    ridge = RidgeModel(
-        alphas=tuple(payload["ridge"]["alphas"]),
-        betas=tuple(np.asarray(b) for b in payload["ridge"]["betas"]),
-        sigmas=tuple(payload["ridge"]["sigmas"]),
-        F_tr=F[train_idx],
-        epsilon=float(payload["epsilon"]),
-    )
-    return FittedScaffold(
-        config=config,
-        selection=selection,
-        selected_blocks=blocks,
-        subspaces=subspaces,
-        ridge=ridge,
-        sigma_pca=float(payload["sigma_pca"]),
-        sigma_ridge=float(payload["sigma_ridge"]),
-        classes=np.asarray(payload["classes"], dtype=np.int64),
-        train_idx=train_idx,
-        F=F,
-        epsilon=float(payload["epsilon"]),
-        extra=payload.get("extra", {}),
-    )
+    return dataclasses.replace(scaffold, extra=payload.get("extra", {}))

@@ -71,8 +71,11 @@ def fit_ridge(F_tr: np.ndarray, Y: np.ndarray, alphas, epsilon: float = EPSILON)
 
 
 def ridge_scores(model: RidgeModel, F: np.ndarray) -> np.ndarray:
-    """Averaged, standardized, negated ridge score matrix for the given rows."""
-    F = np.asarray(F, dtype=np.float64)
+    """Averaged, standardized, negated ridge score matrix for the given rows.
+
+    The rows are read C-ordered, as in ``pca_residuals``.
+    """
+    F = np.ascontiguousarray(F, dtype=np.float64)
     if F.shape[1] != model.F_tr.shape[1]:
         raise ValueError(
             f"feature dimension {F.shape[1]} does not match training "

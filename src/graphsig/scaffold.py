@@ -164,9 +164,16 @@ class FittedScaffold:
     sigma_ridge: float
     classes: np.ndarray  # training-present class ids, ascending
     train_idx: np.ndarray
+    fisher_idx: np.ndarray  # the rows the Fisher scores read
+    labels: np.ndarray  # class id per node, -1 where the fit read no label
     F: np.ndarray  # full n x K_eff selected matrix
     epsilon: float = EPSILON
     extra: dict = field(default_factory=dict)  # a loaded snapshot's "extra"
+
+    @property
+    def n_coordinates(self) -> int:
+        """Width of the dictionary the selection was made from."""
+        return int(self.selection.scores.shape[0])
 
 
 def _onehot(y_tr, classes) -> np.ndarray:
@@ -246,16 +253,21 @@ def grid_search(
     (K, r_max, eta), ridge solves once per (K, alpha_set), and the w
     sweep only re-fuses precomputed branch scores.
 
-    Two kinds of points are skipped because an earlier point already
+    Three kinds of points are skipped because an earlier point already
     scored exactly the same validation predictions, so under first-wins
     they can never replace the best: a K level whose K_eff (K clamped
-    to the dictionary width) repeats an earlier level's, and, within one
-    K, an (r_max, eta) point whose per-class subspace ranks repeat an
-    earlier point's (the basis and residuals depend on the ranks alone).
+    to the dictionary width) repeats an earlier level's; within one K,
+    an (r_max, eta) point whose per-class subspace ranks repeat an
+    earlier point's (the basis and residuals depend on the ranks alone);
+    and an alpha set that repeats an earlier one.
 
     The winning point's selection, subspaces and ridge model are kept
     as they were scored; the returned scaffold is assembled from them
-    plus one gather of the selected columns over all n rows.
+    plus one gather of the selected columns over all n rows.  It also
+    records what the fit read: ``fisher_idx``, and ``labels`` holding
+    the train and Fisher rows' labels and -1 elsewhere, so that
+    ``fit(g, X, scaffold.labels, scaffold.train_idx, config,
+    fisher_idx=scaffold.fisher_idx)`` rebuilds it.
 
     Returns (best HyperConfig, FittedScaffold at it, val accuracy).
     """
@@ -266,14 +278,15 @@ def grid_search(
         raise ValueError("validation set must be nonempty")
     if dictionary is None:
         dictionary = build_dictionary(g, X, active_blocks)
-    if fisher_idx is None:
-        fisher_idx = train
+    fisher_idx = train if fisher_idx is None else np.asarray(fisher_idx, dtype=np.int64)
     q = fisher_scores(dictionary, fisher_idx, y)
     y_tr = y[train]
     y_val = y[val]
     classes = np.unique(y_tr)
     Y = _onehot(y_tr, classes)
     eps = EPSILON
+    # a repeated alpha set scores what its first occurrence scored
+    alpha_sets = tuple(dict.fromkeys(tuple(a) for a in grids.alpha_sets))
     # the search reads train and val rows only
     F0_tr = dictionary.F0[train]
     F0_val = dictionary.F0[val]
@@ -285,11 +298,17 @@ def grid_search(
         if selection.k_eff in seen_k_eff:
             continue
         seen_k_eff.add(selection.k_eff)
-        F_tr = F0_tr[:, selection.selected]
-        F_val = F0_val[:, selection.selected]
+        # C-ordered, like the row gathers that predict scores
+        F_tr = F0_tr.take(selection.selected, axis=1)
+        F_val = F0_val.take(selection.selected, axis=1)
         svds = class_svds(F_tr, y_tr)
+        ridges = []
+        for key in alpha_sets:
+            model = fit_ridge(F_tr, Y, key)
+            sigma_ridge = float(np.std(ridge_scores(model, F_tr)))
+            Rr_val = ridge_scores(model, F_val) / (sigma_ridge + eps)
+            ridges.append((key, model, sigma_ridge, Rr_val))
         seen_ranks = set()
-        ridge_cache = {}
         for r_max in grids.r_maxs:
             for eta in grids.etas:
                 subspaces = truncate_subspaces(svds, r_max, eta)
@@ -299,14 +318,7 @@ def grid_search(
                 seen_ranks.add(ranks)
                 sigma_pca = float(np.std(pca_residuals(F_tr, subspaces)))
                 Rp_val = pca_residuals(F_val, subspaces) / (sigma_pca + eps)
-                for alpha_set in grids.alpha_sets:
-                    key = tuple(alpha_set)
-                    if key not in ridge_cache:
-                        model = fit_ridge(F_tr, Y, alpha_set)
-                        sigma_ridge = float(np.std(ridge_scores(model, F_tr)))
-                        Rr_val = ridge_scores(model, F_val) / (sigma_ridge + eps)
-                        ridge_cache[key] = (model, sigma_ridge, Rr_val)
-                    model, sigma_ridge, Rr_val = ridge_cache[key]
+                for key, model, sigma_ridge, Rr_val in ridges:
                     for w in grids.ws:
                         _, yhat = fuse(Rp_val, Rr_val, w, classes)
                         acc = accuracy(yhat, y_val)
@@ -323,8 +335,11 @@ def grid_search(
                             best = (acc, config, pieces)
     best_acc, best_config, (selection, subspaces, model, sigma_pca, sigma_ridge) = best
     # free the search's row gathers before gathering all n rows
-    del F0_tr, F0_val, F_tr, F_val
+    del F0_tr, F0_val, F_tr, F_val, ridges
     F, blocks = restrict(dictionary, selection.selected)
+    read = np.concatenate([train, fisher_idx])
+    labels = np.full(y.shape[0], -1, dtype=np.int64)
+    labels[read] = y[read]
     scaffold = FittedScaffold(
         config=best_config,
         selection=selection,
@@ -335,6 +350,8 @@ def grid_search(
         sigma_ridge=sigma_ridge,
         classes=classes,
         train_idx=train,
+        fisher_idx=fisher_idx,
+        labels=labels,
         F=F,
     )
     return best_config, scaffold, best_acc

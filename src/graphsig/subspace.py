@@ -118,8 +118,13 @@ def fit_class_subspaces(F_tr: np.ndarray, y_tr, r_max: int, eta: float) -> list:
 
 
 def pca_residuals(F: np.ndarray, subspaces) -> np.ndarray:
-    """Residual matrix, nodes x classes, via the norm-difference identity."""
-    F = np.asarray(F, dtype=np.float64)
+    """Residual matrix, nodes x classes, via the norm-difference identity.
+
+    The rows are read C-ordered: the products round differently for
+    another memory order, and a score must depend on the rows' values
+    only.
+    """
+    F = np.ascontiguousarray(F, dtype=np.float64)
     R = np.empty((F.shape[0], len(subspaces)))
     for k, sub in enumerate(subspaces):
         if F.shape[1] != sub.center.shape[0]:

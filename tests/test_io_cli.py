@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import filecmp
+import itertools
 import json
 import os
 import subprocess
@@ -25,7 +27,15 @@ from graphsig.io import (
     save_labels,
     save_snapshot,
 )
-from graphsig.scaffold import HyperConfig, SplitSpec, fit, make_split, predict
+from graphsig.scaffold import (
+    HyperConfig,
+    SearchGrids,
+    SplitSpec,
+    fit,
+    grid_search,
+    make_split,
+    predict,
+)
 from graphsig.synth import make_sbm_dataset
 
 
@@ -228,7 +238,7 @@ def test_snapshot_round_trip(tmp_path, disk_dataset):
     yhat_a, S_a, _, _ = predict(sc, sc.F)
     yhat_b, S_b, _, _ = predict(loaded, loaded.F)
     assert np.array_equal(yhat_a, yhat_b)
-    # stored floats round-trip exactly; only BLAS summation order differs
+    # the refit is bit for bit (test_snapshot_refit_is_the_saved_scaffold)
     assert np.allclose(S_a, S_b, rtol=1e-12, atol=1e-12)
 
 
@@ -246,7 +256,7 @@ def test_snapshot_extra_comes_back_on_the_scaffold(tmp_path, disk_dataset):
 
 def test_snapshot_zero_rank_class(tmp_path):
     # a constant-feature class on an edgeless graph (nothing to propagate)
-    # stores an empty basis and comes back r=0
+    # comes back r=0
     from graphsig.graph import build_graph
 
     g = build_graph(20, np.zeros((0, 2), dtype=np.int64))
@@ -277,6 +287,85 @@ def test_snapshot_rejects_bad_files(tmp_path, disk_dataset):
     p.write_text(json.dumps({"kind": "fitted-scaffold", "format_version": 999}))
     with pytest.raises(ValueError, match="newer"):
         load_snapshot(str(p), disk_dataset["g"], disk_dataset["X"])
+
+
+def assert_same_fields(a, b):
+    """Equal field by field, arrays bit for bit."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_same_fields(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_fields(x, y)
+    else:
+        assert a == b
+
+
+def searched_scaffold(fisher_mode):
+    g, X, y = make_sbm_dataset(
+        n_per_class=30, n_classes=3, p_within=0.12, p_between=0.05,
+        d=5, shift=0.8, seed=7,
+    )
+    train, val, _ = make_split(y, SplitSpec(train_per_class=10, val_per_class=10, seed=7))
+    fisher_idx = train if fisher_mode == "train" else np.sort(np.concatenate([train, val]))
+    grids = SearchGrids(
+        ks=(10, 30), r_maxs=(2, 5), etas=(0.9, 0.99),
+        alpha_sets=((0.1,), (1.0, 10.0)), ws=(0.3, 0.5, 0.7),
+    )
+    config, sc, _ = grid_search(g, X, y, train, val, grids=grids, fisher_idx=fisher_idx)
+    points = list(itertools.product(*dataclasses.astuple(grids)))
+    at = points.index((config.k, config.r_max, config.eta, config.alphas, config.w))
+    assert 0 < at < len(points) - 1  # neither the first nor the last point
+    return g, X, sc
+
+
+def zero_rank_scaffold():
+    # a constant-feature class on an edgeless graph (nothing to propagate)
+    from graphsig.graph import build_graph
+
+    g = build_graph(20, np.zeros((0, 2), dtype=np.int64))
+    X = np.random.default_rng(3).standard_normal((20, 3)) + 2.0
+    y = np.repeat([0, 1], 10)
+    X[y == 1] = [1.0, 2.0, 3.0]
+    sc = fit(g, X, y, np.arange(20), HyperConfig(
+        k=3, r_max=3, eta=0.95, alphas=(1.0,), w=0.5, active_blocks=("X",),
+    ))
+    assert sc.subspaces[1].r == 0
+    return g, X, sc
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: searched_scaffold("train"), id="search-fisher-train"),
+        pytest.param(lambda: searched_scaffold("train+val"), id="search-fisher-train+val"),
+        pytest.param(zero_rank_scaffold, id="zero-rank-class"),
+    ],
+)
+def test_snapshot_refit_is_the_saved_scaffold(make, tmp_path):
+    g, X, sc = make()
+    path = str(tmp_path / "snap.json")
+    save_snapshot(path, sc)
+    loaded = load_snapshot(path, g, X)
+    assert_same_fields(loaded, sc)
+    for a, b in zip(predict(loaded, loaded.F), predict(sc, sc.F), strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_snapshot_stores_no_unread_label(tmp_path):
+    g, X, sc = searched_scaffold("train")
+    path = str(tmp_path / "snap.json")
+    save_snapshot(path, sc)
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert payload["format_version"] == 2
+    labels = np.asarray(payload["labels"])
+    assert np.flatnonzero(labels >= 0).tolist() == sorted(payload["train_idx"])
+    assert not {"subspaces", "ridge", "selected", "sigma_pca"} & payload.keys()
 
 
 # ------------------------------------------------------------------------ CLI
@@ -514,6 +603,15 @@ def test_cli_paired(run_out, disk_dataset, tmp_path):
         assert json.load(fh)["result"]["mean"] == pytest.approx(2.0)
 
 
+def test_cli_paired_negative_first_delta(tmp_path):
+    out = str(tmp_path / "paired")
+    assert main(["paired", "--deltas=-1.5,0.5,2.0", "--out", out]) == 0
+    with open(os.path.join(out, "paired_report.json")) as fh:
+        payload = json.load(fh)
+    assert payload["inputs"]["deltas"] == [-1.5, 0.5, 2.0]
+    assert payload["result"]["mean"] == pytest.approx(1.0 / 3.0)
+
+
 def test_cli_error_paths(disk_dataset, tmp_path, capsys):
     out = str(tmp_path / "e")
     code = main([
@@ -540,6 +638,30 @@ def bare_snapshot(disk_dataset, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("snap") / "bare.json")
     save_snapshot(path, sc)  # no extra: no recorded val/test indices
     return path
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda s: dict(s, format_version=1), "older than supported 2: re-run `graphsig run`"),
+        (lambda s: dict(s, labels=s["labels"][:-1]), "49 labels for a graph of 50 nodes"),
+        (
+            lambda s: dict(s, labels=[-1 if i in s["train_idx"] else v
+                                      for i, v in enumerate(s["labels"])]),
+            "train_idx node .* has no label",
+        ),
+        (lambda s: dict(s, fisher_idx=[-1]), r"fisher_idx node id -1 outside \[0, 50\)"),
+        (lambda s: dict(s, n_coordinates=7), "dictionary has 45 coordinates"),
+    ],
+    ids=["v1", "labels-length", "unlabeled-train-row", "negative-fisher-row", "width"],
+)
+def test_snapshot_rejects_inputs_that_do_not_fit(edit, match, bare_snapshot, disk_dataset, tmp_path):
+    with open(bare_snapshot) as fh:
+        payload = edit(json.load(fh))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=match):
+        load_snapshot(str(path), disk_dataset["g"], disk_dataset["X"])
 
 
 DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"]
@@ -580,6 +702,24 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
             id="snapshot-with-empty-val",
         ),
         pytest.param(
+            ["fingerprint", *DATA, "--snapshot", "{v1}"], "load-snapshot", id="snapshot-v1"
+        ),
+        pytest.param(
+            ["fingerprint", *DATA, "--snapshot", "{short_labels}"],
+            "load-snapshot",
+            id="snapshot-labels-length",
+        ),
+        pytest.param(
+            ["atlas", *DATA, "--snapshot", "{unlabeled_train}"],
+            "load-snapshot",
+            id="snapshot-unlabeled-train-row",
+        ),
+        pytest.param(
+            ["atlas", *DATA, "--snapshot", "{outside_train}"],
+            "load-snapshot",
+            id="snapshot-train-row-outside-graph",
+        ),
+        pytest.param(
             ["prototype", "--edges", "{edges}", "--features", "{nan_csv}", "--method", "knn"],
             "load-dataset",
             id="nan-feature-csv",
@@ -610,6 +750,16 @@ def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, caps
     with open(bare_snapshot) as fh:
         snapshot = json.load(fh)
     (tmp_path / "empty_val.json").write_text(json.dumps(dict(snapshot, extra={"val_idx": []})))
+    labels, train = snapshot["labels"], snapshot["train_idx"]
+    unlabeled = [-1 if i == train[0] else v for i, v in enumerate(labels)]
+    broken = dict(
+        v1=dict(snapshot, format_version=1),
+        short_labels=dict(snapshot, labels=labels[:-1]),
+        unlabeled_train=dict(snapshot, labels=unlabeled),
+        outside_train=dict(snapshot, train_idx=train + [len(labels)]),
+    )
+    for key, payload in broken.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(payload))
     with open(disk_dataset["features"]) as fh:
         lines = fh.read().splitlines()
     lines[4] = "nan," + lines[4].split(",", 1)[1]  # float("nan") parses
@@ -622,6 +772,7 @@ def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, caps
         bad_ids=str(bad_ids), empty_ids=str(tmp_path / "empty_ids.txt"),
         empty_val=str(tmp_path / "empty_val.json"), nan_csv=str(tmp_path / "nan.csv"),
         inf_bin=str(tmp_path / "inf.bin"),
+        **{key: str(tmp_path / f"{key}.json") for key in broken},
     )
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:

@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graphsig.dictionary import build_dictionary
 from graphsig.graph import build_graph
@@ -269,6 +271,52 @@ def test_grid_search_scaffold_equals_fit_at_its_config(fisher_mode):
         assert np.array_equal(a, b)
     assert got.sigma_pca == want.sigma_pca
     assert got.sigma_ridge == want.sigma_ridge
+
+
+@pytest.mark.parametrize("fisher_mode", ["train", "train+val"])
+def test_grid_search_val_accuracy_is_the_scaffolds(fisher_mode):
+    # the search scores the val rows it gathered; the scaffold it returns
+    # must score the same rows, gathered from its own F, to the same accuracy
+    g, X, y = make_sbm_dataset(
+        n_per_class=30, n_classes=3, p_within=0.12, p_between=0.05,
+        d=5, shift=0.8, seed=7,
+    )
+    train, val, _ = make_split(y, SplitSpec(train_per_class=10, val_per_class=10, seed=7))
+    fisher_idx = train if fisher_mode == "train" else np.sort(np.concatenate([train, val]))
+    grids = SearchGrids(
+        ks=(10, 30), r_maxs=(2, 5), etas=(0.9, 0.99),
+        alpha_sets=((0.1,), (1.0, 10.0), (0.1,)), ws=(0.3, 0.5, 0.7),
+    )
+    _, sc, best_acc = grid_search(g, X, y, train, val, grids=grids, fisher_idx=fisher_idx)
+    assert best_acc == accuracy(predict(sc, sc.F[val])[0], y[val])
+
+
+@functools.cache
+def three_class_scaffold():
+    g, X, y = make_sbm_dataset(
+        n_per_class=20, n_classes=3, p_within=0.12, p_between=0.05,
+        d=5, shift=0.8, seed=3,
+    )
+    train, _, _ = make_split(y, SplitSpec(train_per_class=8, val_per_class=4, seed=3))
+    return fit(g, X, y, train, HyperConfig(k=30, r_max=4, eta=0.95, alphas=(0.1, 1.0), w=0.4))
+
+
+@st.composite
+def score_rows(draw):
+    K = three_class_scaffold().F.shape[1]
+    n = draw(st.integers(1, 12))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    return draw(arrays(np.float64, (n, K), elements=values))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(score_rows())
+def test_branch_scores_do_not_depend_on_memory_order(rows):
+    sc = three_class_scaffold()
+    c_order = branch_scores(sc, np.ascontiguousarray(rows))
+    f_order = branch_scores(sc, np.asfortranarray(rows))
+    for a, b in zip(c_order, f_order, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_grid_search_requires_validation_nodes():
