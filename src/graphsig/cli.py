@@ -406,6 +406,9 @@ def _atlas_like(args):
     outside = eval_idx[(eval_idx < 0) | (eval_idx >= n)]
     if outside.size:
         raise ValueError(f"eval node id {outside[0]} outside [0, {n})")
+    unlabeled = eval_idx[bundle.y[eval_idx] < 0]
+    if unlabeled.size:
+        raise ValueError(f"eval node {unlabeled[0]} has no label")
 
     yield "atlas"
     # the run that wrote the snapshot stamped its provenance into extra

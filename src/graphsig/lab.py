@@ -22,6 +22,7 @@ from .graph import build_graph
 from .scaffold import SearchGrids, evaluate_repeats, summarize_repeats
 
 _ALL = BLOCK_NAMES
+_KNN_SORT_CELLS = 1 << 16  # similarities per kNN sort block, about 1 MiB of scratch
 
 
 @dataclass(frozen=True)
@@ -116,25 +117,22 @@ def mutual_knn_densify(g, X, k: int):
     sims[:, ~nonzero] = -np.inf
     np.fill_diagonal(sims, -np.inf)
 
-    top = [set() for _ in range(n)]
-    idx = np.arange(n)
-    for i in range(n):
-        if not nonzero[i]:
-            continue
-        order = np.lexsort((idx, -sims[i]))
-        live = order[np.isfinite(sims[i, order])]
-        top[i] = set(int(j) for j in live[:k])
-
-    base = {(int(u), int(v)) for u, v in g.edges}
-    added = set()
-    for i in range(n):
-        for j in top[i]:
-            if i < j and i in top[j]:
-                e = (i, j)
-                if e not in base:
-                    added.add(e)
-    union = sorted(base | added)
-    return build_graph(n, union), len(added)
+    # a stable sort of -sims orders each row by descending similarity,
+    # ties by ascending index; blocks of rows bound the sort's scratch
+    top = np.empty((n, k), dtype=np.int64)
+    step = max(1, _KNN_SORT_CELLS // n)
+    for start in range(0, n, step):
+        block = -sims[start : start + step]
+        top[start : start + step] = np.argsort(block, axis=1, kind="stable")[:, :k]
+    rows = np.repeat(np.arange(n), k)
+    cols = top.ravel()
+    live = nonzero[rows] & np.isfinite(sims[rows, cols])
+    rows, cols = rows[live], cols[live]
+    # (i, j) is mutual when (j, i) is live too
+    mutual = (rows < cols) & np.isin(rows * n + cols, cols * n + rows)
+    pairs = np.stack([rows[mutual], cols[mutual]], axis=1)
+    g2 = build_graph(n, np.concatenate([g.edges, pairs]))
+    return g2, g2.n_edges - g.n_edges
 
 
 def degree_preserving_rewire(g, fraction: float = 0.20, seed: int = 0, fallback_dropout: float = 0.15):
@@ -184,11 +182,10 @@ def degree_preserving_rewire(g, fraction: float = 0.20, seed: int = 0, fallback_
 
     if swaps >= target:
         info = {"method": "rewire", "swaps": swaps, "target": target, "attempts": attempts}
-        return build_graph(g.n, sorted(edges)), info
+        return build_graph(g.n, edges), info
 
     keep = int(math.floor((1.0 - fallback_dropout) * m))
     chosen = rng.choice(m, size=keep, replace=False)
-    kept = sorted((int(g.edges[i, 0]), int(g.edges[i, 1])) for i in np.sort(chosen))
     info = {
         "method": "dropout",
         "swaps": swaps,
@@ -196,7 +193,7 @@ def degree_preserving_rewire(g, fraction: float = 0.20, seed: int = 0, fallback_
         "attempts": attempts,
         "kept_edges": keep,
     }
-    return build_graph(g.n, kept), info
+    return build_graph(g.n, g.edges[chosen]), info
 
 
 # ------------------------------------------------------------- paired stats
@@ -238,17 +235,12 @@ def sign_test_p(deltas) -> float:
 
 def _signed_ranks(d):
     """Midranks of |d| (zeros already dropped)."""
-    a = np.abs(np.asarray(d, dtype=np.float64))
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty_like(a)
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(
+        np.abs(np.asarray(d, dtype=np.float64)), return_inverse=True, return_counts=True
+    )
+    # a group of c ties ending at 1-based rank e spans e - c + 1 .. e
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[group]
 
 
 def wilcoxon_signed_rank(deltas, exact_limit: int = 20):
@@ -302,6 +294,9 @@ def paired_stats(deltas) -> PairedResult:
     n = len(d)
     if n < 2:
         raise ValueError("paired stats need at least 2 pairs")
+    bad = d[~np.isfinite(d)]
+    if bad.size:
+        raise ValueError(f"delta {bad[0]} is not finite")
     mean = float(np.mean(d))
     std = float(np.std(d, ddof=1))
     se = std / math.sqrt(n)

@@ -194,10 +194,9 @@ def fit(g, X, y, train, config: HyperConfig, fisher_idx=None, dictionary=None) -
     point = SearchGrids(
         (config.k,), (config.r_max,), (config.eta,), (config.alphas,), (config.w,)
     )
-    # a one-point grid leaves nothing to choose, so the validation rows
-    # are only scored, never used: the training rows can stand in
+    # a one-point grid leaves nothing to choose, so it reads no validation rows
     _, scaffold, _ = grid_search(
-        g, X, y, train, train, point, config.active_blocks, fisher_idx, dictionary
+        g, X, y, train, (), point, config.active_blocks, fisher_idx, dictionary
     )
     return scaffold
 
@@ -269,12 +268,15 @@ def grid_search(
     ``fit(g, X, scaffold.labels, scaffold.train_idx, config,
     fisher_idx=scaffold.fisher_idx)`` rebuilds it.
 
+    A one-point grid may take an empty ``val``: there is nothing to
+    choose, and the val accuracy is then NaN.
+
     Returns (best HyperConfig, FittedScaffold at it, val accuracy).
     """
     y = np.asarray(y)
     train = np.asarray(train, dtype=np.int64)
     val = np.asarray(val, dtype=np.int64)
-    if val.size == 0:
+    if val.size == 0 and grids.size() > 1:
         raise ValueError("validation set must be nonempty")
     if dictionary is None:
         dictionary = build_dictionary(g, X, active_blocks)

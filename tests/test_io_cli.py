@@ -702,6 +702,12 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
             id="snapshot-with-empty-val",
         ),
         pytest.param(
+            ["fingerprint", "--edges", "{edges}", "--features", "{features}",
+             "--labels", "{holey_labels}", "--snapshot", "{bare}", "--eval-nodes", "{eval_ids}"],
+            "select-eval-nodes",
+            id="unlabeled-eval-node",
+        ),
+        pytest.param(
             ["fingerprint", *DATA, "--snapshot", "{v1}"], "load-snapshot", id="snapshot-v1"
         ),
         pytest.param(
@@ -764,6 +770,11 @@ def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, caps
         lines = fh.read().splitlines()
     lines[4] = "nan," + lines[4].split(",", 1)[1]  # float("nan") parses
     (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
+    # the labels file leaves one eval node, never a train row, unlabeled
+    outside = [i for i in range(len(labels)) if i not in train]
+    holey = [("-" if i == outside[1] else str(v)) for i, v in enumerate(disk_dataset["y"])]
+    (tmp_path / "holey_labels.csv").write_text("label\n" + "\n".join(holey) + "\n")
+    (tmp_path / "eval_ids.txt").write_text(f"{outside[0]}\n{outside[1]}\n")
     X = disk_dataset["X"].copy()
     X[3, 1] = np.inf
     save_features_binary(str(tmp_path / "inf.bin"), X)
@@ -771,7 +782,8 @@ def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, caps
         disk_dataset, missing=str(tmp_path / "missing.csv"), bare=bare_snapshot,
         bad_ids=str(bad_ids), empty_ids=str(tmp_path / "empty_ids.txt"),
         empty_val=str(tmp_path / "empty_val.json"), nan_csv=str(tmp_path / "nan.csv"),
-        inf_bin=str(tmp_path / "inf.bin"),
+        inf_bin=str(tmp_path / "inf.bin"), holey_labels=str(tmp_path / "holey_labels.csv"),
+        eval_ids=str(tmp_path / "eval_ids.txt"),
         **{key: str(tmp_path / f"{key}.json") for key in broken},
     )
     out = tmp_path / "out"
@@ -784,6 +796,25 @@ def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, caps
     assert len(lines) == 1
     assert lines[0].startswith(f"graphsig {argv[0]}: stage {stage}: ")
     assert os.listdir(out) == []  # failed before writing any report
+
+
+def test_cli_unlabeled_eval_node_names_the_node(disk_dataset, bare_snapshot, tmp_path, capsys):
+    with open(bare_snapshot) as fh:
+        train = set(json.load(fh)["train_idx"])
+    first, second = [i for i in range(disk_dataset["g"].n) if i not in train][:2]
+    labels = [str(v) for v in disk_dataset["y"]]
+    labels[second] = "-"
+    (tmp_path / "labels.csv").write_text("label\n" + "\n".join(labels) + "\n")
+    (tmp_path / "ids.txt").write_text(f"{first}\n{second}\n")
+    code = main([
+        "fingerprint", "--edges", disk_dataset["edges"], "--features", disk_dataset["features"],
+        "--labels", str(tmp_path / "labels.csv"), "--snapshot", bare_snapshot,
+        "--eval-nodes", str(tmp_path / "ids.txt"), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"graphsig fingerprint: stage select-eval-nodes: eval node {second} has no label\n"
+    )
 
 
 def test_cli_snapshot_verbs_stamp_the_run_config_hash(run_out, disk_dataset, tmp_path):

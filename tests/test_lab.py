@@ -1,9 +1,12 @@
 import itertools
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from graphsig import lab
@@ -142,6 +145,64 @@ def test_mutual_knn_errors():
         mutual_knn_densify(g, np.eye(4), k=1)
 
 
+def reference_mutual_knn(g, X, k):
+    """Row-at-a-time form of mutual_knn_densify: a lexsort per row with an
+    explicit index key, a set of top peers per node, and a set union."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    norms = np.linalg.norm(X, axis=1)
+    nonzero = norms > 0
+    Xn = np.zeros_like(X)
+    Xn[nonzero] = X[nonzero] / norms[nonzero, None]
+    sims = Xn @ Xn.T
+    sims[:, ~nonzero] = -np.inf
+    np.fill_diagonal(sims, -np.inf)
+    top = [set() for _ in range(n)]
+    idx = np.arange(n)
+    for i in range(n):
+        if not nonzero[i]:
+            continue
+        order = np.lexsort((idx, -sims[i]))
+        live = order[np.isfinite(sims[i, order])]
+        top[i] = set(int(j) for j in live[:k])
+    base = {(int(u), int(v)) for u, v in g.edges}
+    added = set()
+    for i in range(n):
+        for j in top[i]:
+            if i < j and i in top[j] and (i, j) not in base:
+                added.add((i, j))
+    return build_graph(n, sorted(base | added)), len(added)
+
+
+@st.composite
+def knn_inputs(draw):
+    n = draw(st.integers(2, 14))
+    d = draw(st.integers(1, 4))
+    # few distinct small-integer rows, repeated: ties, duplicates, zero rows
+    distinct = draw(st.integers(1, n))
+    pool = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+        min_size=distinct, max_size=distinct,
+    ))
+    pick = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    X = np.array(pool, dtype=np.float64)[pick]
+    # raw base edges may hold duplicates, both orientations and self-loops
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    k = draw(st.integers(1, n - 1))
+    return build_graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)), X, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(knn_inputs(), st.integers(1, 200))
+def test_mutual_knn_equals_the_row_at_a_time_reference(inputs, cells):
+    g, X, k = inputs
+    with mock.patch.object(lab, "_KNN_SORT_CELLS", cells):  # any row-block split
+        got, added = mutual_knn_densify(g, X, k)
+    want, want_added = reference_mutual_knn(g, X, k)
+    assert np.array_equal(got.edges, want.edges)
+    assert added == want_added
+
+
 def random_graph(n, p, seed):
     rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
@@ -172,6 +233,23 @@ def test_rewire_triangle_falls_back_to_dropout():
     assert info["kept_edges"] == 2  # floor(0.85 * 3)
     assert g2.n_edges == 2
     assert info["attempts"] == 300  # budget 100 * |E|
+
+
+def test_rewire_exits_keep_their_edge_lists():
+    # the exact edge lists of both exits, so a change to how they build the graph shows
+    g = random_graph(10, 0.3, 4)
+    assert g.edges.tolist() == [[0, 4], [0, 8], [2, 4], [2, 9], [3, 9], [4, 9], [6, 7], [7, 8]]
+    swapped, info = degree_preserving_rewire(g, fraction=0.5, seed=3)
+    assert info == {"method": "rewire", "swaps": 4, "target": 4, "attempts": 13}
+    assert swapped.edges.tolist() == [
+        [0, 4], [0, 9], [2, 4], [2, 9], [3, 7], [4, 8], [6, 7], [8, 9],
+    ]
+    k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    dropped, info = degree_preserving_rewire(k5, fraction=0.3, seed=2, fallback_dropout=0.25)
+    assert info == {
+        "method": "dropout", "swaps": 0, "target": 3, "attempts": 1000, "kept_edges": 7,
+    }
+    assert dropped.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [2, 3], [2, 4], [3, 4]]
 
 
 def test_rewire_errors():
@@ -220,6 +298,35 @@ def test_wilcoxon_exact_matches_enumeration():
         w_want, p_want = brute_force_wilcoxon(d)
         assert w_got == pytest.approx(w_want, abs=1e-12)
         assert p_got == pytest.approx(p_want, abs=1e-12)
+
+
+def reference_signed_ranks(d):
+    """Midranks of |d| by walking each tie group of the sorted order."""
+    a = np.abs(np.asarray(d, dtype=np.float64))
+    order = np.argsort(a, kind="stable")
+    ranks = np.empty_like(a)
+    i = 0
+    while i < len(a):
+        j = i
+        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+tie_heavy_deltas = st.lists(
+    st.integers(-6, 6).filter(bool).map(lambda v: v / 2.0), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_deltas)
+def test_signed_ranks_equal_the_tie_walk(d):
+    assert np.array_equal(_signed_ranks(d), reference_signed_ranks(d))
+    got = wilcoxon_signed_rank(d)
+    with mock.patch.object(lab, "_signed_ranks", reference_signed_ranks):
+        assert got == wilcoxon_signed_rank(d)
 
 
 def test_wilcoxon_reference_deltas():
@@ -296,6 +403,12 @@ def test_paired_stats_degenerate_cases():
     assert neg.t_stat == -np.inf
     with pytest.raises(ValueError, match="at least 2"):
         paired_stats([1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_paired_stats_rejects_non_finite_deltas(bad):
+    with pytest.raises(ValueError, match="is not finite"):
+        paired_stats([1.0, bad, 2.0])
 
 
 def test_compare_runs():

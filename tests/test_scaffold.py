@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from graphsig import scaffold as scaffold_module
 from graphsig.dictionary import build_dictionary
 from graphsig.graph import build_graph
 from graphsig.ridge import ridge_scores
@@ -324,6 +325,32 @@ def test_grid_search_requires_validation_nodes():
     train, _, _ = make_split(y, SplitSpec(train_per_class=10, val_per_class=5))
     with pytest.raises(ValueError, match="validation"):
         grid_search(g, X, y, train, np.array([], dtype=np.int64))
+
+
+def test_grid_search_with_two_points_requires_validation_nodes():
+    g, X, y = small_dataset()
+    train, _, _ = make_split(y, SplitSpec(train_per_class=10, val_per_class=5))
+    grids = SearchGrids(ks=(10,), r_maxs=(2,), etas=(0.9,), alpha_sets=((1.0,),), ws=(0.0, 1.0))
+    with pytest.raises(ValueError, match="validation set must be nonempty"):
+        grid_search(g, X, y, train, np.array([], dtype=np.int64), grids=grids)
+
+
+def test_fit_scores_each_training_row_once_per_branch(monkeypatch):
+    g, X, y = small_dataset()
+    train, _, _ = make_split(y, SplitSpec(train_per_class=10, val_per_class=5))
+    rows = {"pca_residuals": 0, "ridge_scores": 0}
+
+    def counted(name, fn, rows_at):
+        def wrapper(*args):
+            rows[name] += args[rows_at].shape[0]
+            return fn(*args)
+        return wrapper
+
+    # pca_residuals(F, subspaces), ridge_scores(model, F)
+    monkeypatch.setattr(scaffold_module, "pca_residuals", counted("pca_residuals", pca_residuals, 0))
+    monkeypatch.setattr(scaffold_module, "ridge_scores", counted("ridge_scores", ridge_scores, 1))
+    fit(g, X, y, train, HyperConfig(k=10, r_max=2, eta=0.9, alphas=(1.0,), w=0.5))
+    assert rows == {"pca_residuals": len(train), "ridge_scores": len(train)}
 
 
 def test_evaluate_repeats_seeds_and_summary():
