@@ -145,14 +145,14 @@ def node_atlas(scaffold, eval_idx, y, degree=None, scores=None) -> NodeAtlas:
 
     ``degree`` is the full-graph per-node degree vector (pass g.degree);
     omitted degrees are recorded as 0.  ``scores`` is what
-    ``predict(scaffold, scaffold.F[eval_idx])`` returned, when the caller
+    ``predict(scaffold, scaffold.rows(eval_idx))`` returned, when the caller
     has already scored those rows; without it they are scored here.
     Every column is computed for all eval nodes at once, one block or
     family at a time.
     """
     eval_idx = np.asarray(eval_idx, dtype=np.int64)
     labels = np.asarray(y)[eval_idx].astype(np.int64)
-    F_rows = scaffold.F[eval_idx]
+    F_rows = scaffold.rows(eval_idx)
     yhat, _, Rp, Rr = scores if scores is not None else predict(scaffold, F_rows)
     pred = yhat.astype(np.int64)
     pred_pca = scaffold.classes[np.argmin(Rp, axis=1)]

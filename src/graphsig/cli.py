@@ -71,25 +71,30 @@ def _add_dataset_args(p, labels_required=True):
     p.add_argument("--name", default=None, help="dataset name used in reports")
 
 
+# every flag default is the field default of SplitSpec or RunConfig
+_SPLIT = SplitSpec()
+_RUN = RunConfig()
+
+
 def _add_split_args(p):
-    p.add_argument("--split-mode", choices=("per-class", "fraction"), default="per-class")
-    p.add_argument("--train-per-class", type=int, default=20)
-    p.add_argument("--val-per-class", type=int, default=30)
+    p.add_argument("--split-mode", choices=("per-class", "fraction"), default=_SPLIT.mode)
+    p.add_argument("--train-per-class", type=int, default=_SPLIT.train_per_class)
+    p.add_argument("--val-per-class", type=int, default=_SPLIT.val_per_class)
     p.add_argument(
         "--fractions",
         type=_floats,
-        default=(0.6, 0.2, 0.2),
+        default=(_SPLIT.train_frac, _SPLIT.val_frac, _SPLIT.test_frac),
         metavar="TR,VA,TE",
         help="train,val,test fractions for --split-mode fraction",
     )
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0, help="base seed; repeat i uses seed+i")
+    p.add_argument("--repeats", type=int, default=_RUN.repeats)
+    p.add_argument("--seed", type=int, default=_SPLIT.seed, help="base seed; repeat i uses seed+i")
 
 
 def _add_model_args(p):
     p.add_argument(
         "--blocks",
-        default=",".join(BLOCK_NAMES),
+        default=",".join(_RUN.active_blocks),
         help="comma-separated active dictionary blocks",
     )
     p.add_argument("--grid-k", type=_ints, default=None, metavar="K1,K2,...")
@@ -103,7 +108,7 @@ def _add_model_args(p):
         help="semicolon-separated alpha sets",
     )
     p.add_argument("--grid-w", type=_floats, default=None, metavar="W1,W2,...")
-    p.add_argument("--fisher-mode", choices=("train", "train+val"), default="train")
+    p.add_argument("--fisher-mode", choices=("train", "train+val"), default=_RUN.fisher_mode)
 
 
 def _split_spec(args) -> SplitSpec:
@@ -159,7 +164,7 @@ def _run_config(args, name) -> RunConfig:
         grids=_grids(args),
         active_blocks=_blocks(args),
         fisher_mode=args.fisher_mode,
-        snapshots=getattr(args, "snapshots", "first"),
+        snapshots=getattr(args, "snapshots", _RUN.snapshots),
     )
 
 
@@ -473,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(pr)
     _add_split_args(pr)
     _add_model_args(pr)
-    pr.add_argument("--snapshots", choices=("none", "first", "all"), default="first")
+    pr.add_argument("--snapshots", choices=("none", "first", "all"), default=_RUN.snapshots)
     pr.add_argument("--out", required=True)
     pr.set_defaults(fn=cmd_run)
 

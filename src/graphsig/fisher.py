@@ -67,13 +67,13 @@ def select_top_k(scores: np.ndarray, k: int) -> FisherSelection:
     )
 
 
-def restrict(dictionary: SignalDictionary, selected) -> tuple:
-    """Column gather of the selected coordinates.
+def restrict(dictionary: SignalDictionary, selected, rows) -> tuple:
+    """Gather of the selected coordinates over the given rows.
 
-    Returns (F, blocks) where F is n x K_eff and blocks[t] is the BlockId
-    of selected coordinate t, preserving selection order.
+    Returns (F, blocks): F is F0[rows][:, selected], C-ordered, and
+    blocks[t] is the BlockId of selected coordinate t, in selection order.
     """
     selected = np.asarray(selected, dtype=np.int64)
-    F = dictionary.F0[:, selected]
-    blocks = tuple(BLOCKS[dictionary.coord_block[j]] for j in selected)
+    F = dictionary.F0[np.ix_(np.asarray(rows, dtype=np.int64), selected)]
+    blocks = tuple(BLOCKS[b] for b in dictionary.coord_block[selected].tolist())
     return F, blocks

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conventions import EPSILON
-from .dictionary import BLOCK_NAMES, build_dictionary
+from .dictionary import BLOCK_NAMES, SignalDictionary, build_dictionary
 from .fisher import fisher_scores, restrict, select_top_k
 from .ridge import fit_ridge, ridge_scores
 from .subspace import class_svds, pca_residuals, truncate_subspaces
@@ -166,7 +166,7 @@ class FittedScaffold:
     train_idx: np.ndarray
     fisher_idx: np.ndarray  # the rows the Fisher scores read
     labels: np.ndarray  # class id per node, -1 where the fit read no label
-    F: np.ndarray  # full n x K_eff selected matrix
+    dictionary: SignalDictionary  # the matrix the selection indexes; rows() reads it
     epsilon: float = EPSILON
     extra: dict = field(default_factory=dict)  # a loaded snapshot's "extra"
 
@@ -174,6 +174,10 @@ class FittedScaffold:
     def n_coordinates(self) -> int:
         """Width of the dictionary the selection was made from."""
         return int(self.selection.scores.shape[0])
+
+    def rows(self, idx) -> np.ndarray:
+        """The selected coordinates of nodes ``idx``, read from the dictionary."""
+        return restrict(self.dictionary, self.selection.selected, idx)[0]
 
 
 def _onehot(y_tr, classes) -> np.ndarray:
@@ -247,10 +251,10 @@ def grid_search(
     Enumeration is lexicographic in (K, r_max, eta, alpha_set, w); the
     first configuration attaining the maximum validation accuracy wins.
     Shared work runs once per grid level: the dictionary and Fisher
-    scores once, the train and val rows of the dictionary once, the
-    column gather and one SVD per class once per K, the truncation per
-    (K, r_max, eta), ridge solves once per (K, alpha_set), and the w
-    sweep only re-fuses precomputed branch scores.
+    scores once, the gather of the selected columns' train and val rows
+    and one SVD per class once per K, the truncation per (K, r_max,
+    eta), ridge solves once per (K, alpha_set), and the w sweep only
+    re-fuses precomputed branch scores.
 
     Three kinds of points are skipped because an earlier point already
     scored exactly the same validation predictions, so under first-wins
@@ -262,9 +266,9 @@ def grid_search(
 
     The winning point's selection, subspaces and ridge model are kept
     as they were scored; the returned scaffold is assembled from them
-    plus one gather of the selected columns over all n rows.  It also
-    records what the fit read: ``fisher_idx``, and ``labels`` holding
-    the train and Fisher rows' labels and -1 elsewhere, so that
+    and the dictionary, which ``rows`` reads.  It also records what the
+    fit read: ``fisher_idx``, and ``labels`` holding the train and
+    Fisher rows' labels and -1 elsewhere, so that
     ``fit(g, X, scaffold.labels, scaffold.train_idx, config,
     fisher_idx=scaffold.fisher_idx)`` rebuilds it.
 
@@ -278,6 +282,9 @@ def grid_search(
     val = np.asarray(val, dtype=np.int64)
     if val.size == 0 and grids.size() > 1:
         raise ValueError("validation set must be nonempty")
+    for w in grids.ws:
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"w must be in [0, 1], got {w}")
     if dictionary is None:
         dictionary = build_dictionary(g, X, active_blocks)
     fisher_idx = train if fisher_idx is None else np.asarray(fisher_idx, dtype=np.int64)
@@ -289,9 +296,6 @@ def grid_search(
     eps = EPSILON
     # a repeated alpha set scores what its first occurrence scored
     alpha_sets = tuple(dict.fromkeys(tuple(a) for a in grids.alpha_sets))
-    # the search reads train and val rows only
-    F0_tr = dictionary.F0[train]
-    F0_val = dictionary.F0[val]
 
     best = None  # (val accuracy, config, pieces fitted at it)
     seen_k_eff = set()
@@ -300,9 +304,9 @@ def grid_search(
         if selection.k_eff in seen_k_eff:
             continue
         seen_k_eff.add(selection.k_eff)
-        # C-ordered, like the row gathers that predict scores
-        F_tr = F0_tr.take(selection.selected, axis=1)
-        F_val = F0_val.take(selection.selected, axis=1)
+        # the search reads train and val rows only
+        F_tr, blocks = restrict(dictionary, selection.selected, train)
+        F_val = restrict(dictionary, selection.selected, val)[0]
         svds = class_svds(F_tr, y_tr)
         ridges = []
         for key in alpha_sets:
@@ -333,12 +337,9 @@ def grid_search(
                                 w=w,
                                 active_blocks=tuple(active_blocks),
                             )
-                            pieces = (selection, subspaces, model, sigma_pca, sigma_ridge)
+                            pieces = (selection, blocks, subspaces, model, sigma_pca, sigma_ridge)
                             best = (acc, config, pieces)
-    best_acc, best_config, (selection, subspaces, model, sigma_pca, sigma_ridge) = best
-    # free the search's row gathers before gathering all n rows
-    del F0_tr, F0_val, F_tr, F_val, ridges
-    F, blocks = restrict(dictionary, selection.selected)
+    best_acc, best_config, (selection, blocks, subspaces, model, sigma_pca, sigma_ridge) = best
     read = np.concatenate([train, fisher_idx])
     labels = np.full(y.shape[0], -1, dtype=np.int64)
     labels[read] = y[read]
@@ -354,7 +355,7 @@ def grid_search(
         train_idx=train,
         fisher_idx=fisher_idx,
         labels=labels,
-        F=F,
+        dictionary=dictionary,
     )
     return best_config, scaffold, best_acc
 
@@ -370,7 +371,7 @@ class RepeatOutcome:
     val_accuracy: float
     test_accuracy: float
     scaffold: FittedScaffold = field(repr=False, default=None)
-    # predict(scaffold, scaffold.F[test]), kept with the scaffold so the
+    # predict(scaffold, scaffold.rows(test)), kept with the scaffold so the
     # atlas of the test rows does not score them again
     test_scores: tuple = field(repr=False, default=None)
 
@@ -426,7 +427,7 @@ def evaluate_repeats(
             fisher_idx=fisher_idx,
             dictionary=dictionary,
         )
-        scores = predict(scaffold, scaffold.F[test])
+        scores = predict(scaffold, scaffold.rows(test))
         outcomes.append(
             RepeatOutcome(
                 repeat=rep,

@@ -198,9 +198,9 @@ def test_A05_fusion_endpoints_exact():
         train, _, test = make_split(y, SplitSpec(train_per_class=8, val_per_class=4, seed=seed))
         base = dict(k=20, r_max=3, eta=0.95, alphas=(0.5, 2.0))
         sc1 = fit(g, X, y, train, HyperConfig(w=1.0, **base))
-        yh1, _, Rp, _ = predict(sc1, sc1.F[test])
+        yh1, _, Rp, _ = predict(sc1, sc1.rows(test))
         sc0 = fit(g, X, y, train, HyperConfig(w=0.0, **base))
-        yh0, _, _, Rr = predict(sc0, sc0.F[test])
+        yh0, _, _, Rr = predict(sc0, sc0.rows(test))
         if not np.array_equal(yh1, sc1.classes[np.argmin(Rp, axis=1)]):
             ok = False
         if not np.array_equal(yh0, sc0.classes[np.argmin(Rr, axis=1)]):
@@ -233,13 +233,13 @@ def test_A06_cached_grid_search_equals_naive():
                     for w in grids.ws:
                         cfg = HyperConfig(k=k, r_max=r_max, eta=eta, alphas=tuple(alphas), w=w)
                         sc = fit(g, X, y, train, cfg, dictionary=dictionary)
-                        acc = accuracy(predict(sc, sc.F[val])[0], y[val])
+                        acc = accuracy(predict(sc, sc.rows(val))[0], y[val])
                         if best is None or acc > best[0]:
                             best = (acc, cfg)
     naive_acc, naive_cfg = best
     sc_naive = fit(g, X, y, train, naive_cfg, dictionary=dictionary)
-    pred_cached = predict(scaffold, scaffold.F)[0]
-    pred_naive = predict(sc_naive, sc_naive.F)[0]
+    pred_cached = predict(scaffold, scaffold.rows(np.arange(g.n)))[0]
+    pred_naive = predict(sc_naive, sc_naive.rows(np.arange(g.n)))[0]
     elapsed = time.perf_counter() - t0
     ok = (
         config == naive_cfg
@@ -345,7 +345,7 @@ def test_A10_intervention_variants():
 
     raw_cfg = HyperConfig(active_blocks=variant_by_name("raw_only").active_blocks, **base)
     sc_raw = fit(g, X, y, train, raw_cfg)
-    pred_raw = predict(sc_raw, sc_raw.F)[0]
+    pred_raw = predict(sc_raw, sc_raw.rows(np.arange(g.n)))[0]
 
     # independent classifier straight from row-normalized features
     Xn = _row_normalize(X)

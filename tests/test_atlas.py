@@ -108,7 +108,7 @@ def test_record_energy_matches_hand_computation():
     records = node_atlas(sc, test, y)
     q_sel = sc.selection.scores[sc.selection.selected]
     r0 = records[0]
-    row = np.abs(sc.F[r0.node]) * q_sel
+    row = np.abs(sc.rows([r0.node])[0]) * q_sel
     for name in BLOCK_NAMES:
         cols = [j for j, b in enumerate(sc.selected_blocks) if b.name == name]
         want = float(np.mean(row[cols])) if cols else 0.0
@@ -118,7 +118,7 @@ def test_record_energy_matches_hand_computation():
 def test_margins_match_branch_scores():
     g, X, y, sc, test = fitted()
     records = node_atlas(sc, test, y)
-    Rp, Rr = branch_scores(sc, sc.F[test])
+    Rp, Rr = branch_scores(sc, sc.rows(test))
     pos = {int(c): k for k, c in enumerate(sc.classes)}
     for i, r in enumerate(records):
         p = pos[r.label]
@@ -428,7 +428,7 @@ def loop_node_atlas(scaffold, eval_idx, y, degree=None):
     active_names = [b.name for b in active]
     block_cols = [(b.name, np.flatnonzero(block_index == b.index)) for b in active]
 
-    F_rows = scaffold.F[eval_idx]
+    F_rows = scaffold.rows(eval_idx)
     yhat, _, Rp, Rr = predict(scaffold, F_rows)
     pred_pca = scaffold.classes[np.argmin(Rp, axis=1)]
     pred_ridge = scaffold.classes[np.argmin(Rr, axis=1)]
@@ -524,7 +524,7 @@ def test_node_atlas_equals_the_per_node_loop(case, tmp_path):
     got = node_atlas(sc, eval_idx, y, degree)
     assert_same_records(got, want)
     # the scores a caller already has give the same records
-    scored = node_atlas(sc, eval_idx, y, degree, predict(sc, sc.F[eval_idx]))
+    scored = node_atlas(sc, eval_idx, y, degree, predict(sc, sc.rows(eval_idx)))
     assert_same_records(scored, want)
     if name == "zero-evidence-1":
         assert got[0].zero_evidence and not got[1].zero_evidence

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsig.dictionary import build_dictionary
 from graphsig.fisher import fisher_scores, restrict, select_top_k
@@ -104,7 +106,28 @@ def test_restrict_gathers_columns_and_blocks():
     X = rng.standard_normal((6, 3))
     D = build_dictionary(g, X)
     selected = np.array([0, 4, 10, 26])
-    F, blocks = restrict(D, selected)
+    F, blocks = restrict(D, selected, np.arange(D.n))
     assert F.shape == (6, 4)
     assert np.allclose(F, D.F0[:, selected])
     assert [b.index for b in blocks] == [0, 1, 3, 8]
+
+
+def _restrict_dictionary():
+    rng = np.random.default_rng(5)
+    g = build_graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
+    return build_dictionary(g, rng.standard_normal((7, 2)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(st.integers(0, 6), max_size=12),  # unsorted, repeated or empty
+    selected=st.lists(st.integers(0, 17), min_size=1, max_size=18, unique=True),
+)
+def test_restrict_is_the_c_ordered_row_and_column_gather(rows, selected):
+    D = _restrict_dictionary()
+    selected = np.sort(np.array(selected, dtype=np.int64))
+    F, blocks = restrict(D, selected, rows)
+    assert F.flags.c_contiguous
+    assert F.shape == (len(rows), selected.size)
+    assert np.array_equal(F, D.F0[:, selected][np.array(rows, dtype=np.int64)])
+    assert [b.index for b in blocks] == D.coord_block[selected].tolist()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import graphsig
-from graphsig.cli import main
+from graphsig.cli import _run_config, build_parser, main
 from graphsig.graph import save_edge_list
 from graphsig.io import (
     RunConfig,
@@ -235,8 +235,8 @@ def test_snapshot_round_trip(tmp_path, disk_dataset):
     assert np.array_equal(loaded.selection.selected, sc.selection.selected)
     assert np.array_equal(loaded.classes, sc.classes)
     assert np.array_equal(loaded.train_idx, sc.train_idx)
-    yhat_a, S_a, _, _ = predict(sc, sc.F)
-    yhat_b, S_b, _, _ = predict(loaded, loaded.F)
+    yhat_a, S_a, _, _ = predict(sc, sc.rows(np.arange(g.n)))
+    yhat_b, S_b, _, _ = predict(loaded, loaded.rows(np.arange(g.n)))
     assert np.array_equal(yhat_a, yhat_b)
     # the refit is bit for bit (test_snapshot_refit_is_the_saved_scaffold)
     assert np.allclose(S_a, S_b, rtol=1e-12, atol=1e-12)
@@ -274,8 +274,8 @@ def test_snapshot_zero_rank_class(tmp_path):
     loaded = load_snapshot(path, g, X)
     assert loaded.subspaces[1].r == 0
     assert loaded.subspaces[1].basis.shape == (sc.selection.k_eff, 0)
-    a = predict(sc, sc.F)[1]
-    b = predict(loaded, loaded.F)[1]
+    a = predict(sc, sc.rows(np.arange(g.n)))[1]
+    b = predict(loaded, loaded.rows(np.arange(g.n)))[1]
     assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
@@ -352,7 +352,11 @@ def test_snapshot_refit_is_the_saved_scaffold(make, tmp_path):
     save_snapshot(path, sc)
     loaded = load_snapshot(path, g, X)
     assert_same_fields(loaded, sc)
-    for a, b in zip(predict(loaded, loaded.F), predict(sc, sc.F), strict=True):
+    for a, b in zip(
+        predict(loaded, loaded.rows(np.arange(g.n))),
+        predict(sc, sc.rows(np.arange(g.n))),
+        strict=True,
+    ):
         assert np.array_equal(a, b)
 
 
@@ -737,6 +741,12 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
         ),
         pytest.param(["paired"], "load-results", id="paired-without-inputs"),
         pytest.param(["run", *DATA, "--repeats", "0"], "evaluate", id="zero-repeats"),
+        pytest.param(
+            ["run", *DATA, "--train-per-class", "8", "--val-per-class", "5", "--repeats", "1",
+             "--grid-w", "1.5,-2"],
+            "evaluate",
+            id="fusion-weight-outside-unit-interval",
+        ),
         # the default 20 train / 30 val request leaves 25-member classes no test node
         pytest.param(["run", *DATA, "--repeats", "1"], "evaluate", id="split-without-test"),
         pytest.param(
@@ -796,6 +806,12 @@ def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, caps
     assert len(lines) == 1
     assert lines[0].startswith(f"graphsig {argv[0]}: stage {stage}: ")
     assert os.listdir(out) == []  # failed before writing any report
+
+
+def test_cli_defaults_are_the_run_config_defaults():
+    argv = ["run", "--edges", "e", "--features", "f", "--labels", "l", "--out", "o"]
+    args = build_parser().parse_args(argv)
+    assert _run_config(args, "demo") == RunConfig(name="demo")
 
 
 def test_cli_unlabeled_eval_node_names_the_node(disk_dataset, bare_snapshot, tmp_path, capsys):

@@ -154,10 +154,10 @@ def test_fit_shapes_and_standardization():
     sc = fit(g, X, y, train, config)
     p = 9 * X.shape[1]
     assert sc.selection.k_eff == min(30, p)
-    assert sc.F.shape == (g.n, sc.selection.k_eff)
+    assert sc.rows(np.arange(g.n)).shape == (g.n, sc.selection.k_eff)
     assert len(sc.selected_blocks) == sc.selection.k_eff
     assert np.array_equal(sc.classes, [0, 1])
-    F_tr = sc.F[train]
+    F_tr = sc.rows(train)
     assert sc.sigma_pca == pytest.approx(np.std(pca_residuals(F_tr, sc.subspaces)))
     assert sc.sigma_ridge == pytest.approx(np.std(ridge_scores(sc.ridge, F_tr)))
     Rp, Rr = branch_scores(sc, F_tr)
@@ -170,7 +170,7 @@ def test_predict_uses_original_class_ids():
     y = np.where(y == 0, 3, 7)  # nonconsecutive ids survive the round trip
     train, val, test = make_split(y, SplitSpec(train_per_class=10, val_per_class=5))
     sc = fit(g, X, y, train, HyperConfig(k=20, r_max=3, eta=0.95, alphas=(1.0,), w=0.5))
-    yhat, S, Rp, Rr = predict(sc, sc.F[test])
+    yhat, S, Rp, Rr = predict(sc, sc.rows(test))
     assert np.array_equal(sc.classes, [3, 7])
     assert set(np.unique(yhat)).issubset({3, 7})
     assert S.shape == (test.size, 2)
@@ -181,10 +181,10 @@ def test_fusion_endpoints():
     train, _, test = make_split(y, SplitSpec(train_per_class=10, val_per_class=5))
     base = dict(k=25, r_max=3, eta=0.95, alphas=(0.5,))
     sc_p = fit(g, X, y, train, HyperConfig(w=1.0, **base))
-    yhat_p, _, Rp, _ = predict(sc_p, sc_p.F[test])
+    yhat_p, _, Rp, _ = predict(sc_p, sc_p.rows(test))
     assert np.array_equal(yhat_p, sc_p.classes[np.argmin(Rp, axis=1)])
     sc_r = fit(g, X, y, train, HyperConfig(w=0.0, **base))
-    yhat_r, _, _, Rr = predict(sc_r, sc_r.F[test])
+    yhat_r, _, _, Rr = predict(sc_r, sc_r.rows(test))
     assert np.array_equal(yhat_r, sc_r.classes[np.argmin(Rr, axis=1)])
 
 
@@ -199,7 +199,7 @@ def naive_grid_search(g, X, y, train, val, grids):
                             k=k, r_max=r_max, eta=eta, alphas=tuple(alphas), w=w
                         )
                         sc = fit(g, X, y, train, cfg)
-                        yhat, _, _, _ = predict(sc, sc.F[val])
+                        yhat, _, _, _ = predict(sc, sc.rows(val))
                         acc = accuracy(yhat, y[val])
                         if best is None or acc > best[0]:
                             best = (acc, cfg)
@@ -235,8 +235,8 @@ def test_grid_search_matches_naive_enumeration(ks, r_maxs):
     assert config == want_cfg
     assert best_acc == pytest.approx(want_acc, abs=1e-12)
     sc_naive = fit(g, X, y, train, want_cfg)
-    yhat_a, _, _, _ = predict(scaffold, scaffold.F)
-    yhat_b, _, _, _ = predict(sc_naive, sc_naive.F)
+    yhat_a, _, _, _ = predict(scaffold, scaffold.rows(np.arange(g.n)))
+    yhat_b, _, _, _ = predict(sc_naive, sc_naive.rows(np.arange(g.n)))
     assert np.array_equal(yhat_a, yhat_b)
 
 
@@ -258,7 +258,7 @@ def test_grid_search_scaffold_equals_fit_at_its_config(fisher_mode):
     assert np.array_equal(got.selection.selected, want.selection.selected)
     assert np.array_equal(got.selection.scores, want.selection.scores)
     assert got.selected_blocks == want.selected_blocks
-    assert np.array_equal(got.F, want.F)
+    assert np.array_equal(got.rows(np.arange(g.n)), want.rows(np.arange(g.n)))
     assert np.array_equal(got.classes, want.classes)
     assert np.array_equal(got.train_idx, want.train_idx)
     assert len(got.subspaces) == len(want.subspaces)
@@ -289,7 +289,7 @@ def test_grid_search_val_accuracy_is_the_scaffolds(fisher_mode):
         alpha_sets=((0.1,), (1.0, 10.0), (0.1,)), ws=(0.3, 0.5, 0.7),
     )
     _, sc, best_acc = grid_search(g, X, y, train, val, grids=grids, fisher_idx=fisher_idx)
-    assert best_acc == accuracy(predict(sc, sc.F[val])[0], y[val])
+    assert best_acc == accuracy(predict(sc, sc.rows(val))[0], y[val])
 
 
 @functools.cache
@@ -304,7 +304,7 @@ def three_class_scaffold():
 
 @st.composite
 def score_rows(draw):
-    K = three_class_scaffold().F.shape[1]
+    K = three_class_scaffold().rows([0]).shape[1]
     n = draw(st.integers(1, 12))
     values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     return draw(arrays(np.float64, (n, K), elements=values))
@@ -378,13 +378,40 @@ def test_evaluate_repeats_keeps_the_test_scores_with_the_scaffold():
     grids = SearchGrids(ks=(20,), r_maxs=(3,), etas=(0.95,), alpha_sets=((1.0,),), ws=(0.5,))
     spec = SplitSpec(train_per_class=8, val_per_class=6, seed=4)
     for o in evaluate_repeats(g, X, y, spec, n_repeats=2, grids=grids):
-        want = predict(o.scaffold, o.scaffold.F[o.test])
+        want = predict(o.scaffold, o.scaffold.rows(o.test))
         assert len(o.test_scores) == len(want)
         for got, ref in zip(o.test_scores, want):
             assert np.array_equal(got, ref)
         assert o.test_accuracy == accuracy(want[0], y[o.test])
     bare = evaluate_repeats(g, X, y, spec, n_repeats=1, grids=grids, keep_scaffolds=False)
     assert bare[0].scaffold is None and bare[0].test_scores is None
+
+
+def test_repeats_share_one_dictionary_and_keep_no_selected_matrix():
+    g, X, y = small_dataset()
+    grids = SearchGrids(ks=(20,), r_maxs=(3,), etas=(0.95,), alpha_sets=((1.0,),), ws=(0.5,))
+    spec = SplitSpec(train_per_class=8, val_per_class=6, seed=4)
+    outcomes = evaluate_repeats(g, X, y, spec, n_repeats=3, grids=grids)
+    first = outcomes[0].scaffold.dictionary
+    assert all(o.scaffold.dictionary is first for o in outcomes)
+    for o in outcomes:
+        sc = o.scaffold
+        for f in dataclasses.fields(sc):
+            value = getattr(sc, f.name)
+            wide = isinstance(value, np.ndarray) and value.ndim == 2
+            assert not (wide and value.shape[1] == sc.selection.k_eff), f.name
+        assert np.array_equal(sc.rows(o.test), first.F0[:, sc.selection.selected][o.test])
+
+
+@pytest.mark.parametrize("w", [1.5, -2.0, float("nan")])
+def test_fusion_weight_outside_unit_interval_fails(w):
+    g, X, y = small_dataset()
+    train, val, _ = make_split(y, SplitSpec(train_per_class=8, val_per_class=6))
+    grids = SearchGrids(ks=(20,), r_maxs=(3,), etas=(0.95,), alpha_sets=((1.0,),), ws=(0.5, w))
+    with pytest.raises(ValueError, match=rf"^w must be in \[0, 1\], got {w}$"):
+        grid_search(g, X, y, train, val, grids=grids)
+    with pytest.raises(ValueError, match=r"^w must be in \[0, 1\]"):
+        fit(g, X, y, train, HyperConfig(k=20, r_max=3, eta=0.95, alphas=(1.0,), w=w))
 
 
 def test_fit_is_equivariant_under_node_relabelling():
@@ -407,9 +434,9 @@ def test_fit_is_equivariant_under_node_relabelling():
     assert np.allclose(sc_p.selection.scores, sc.selection.scores, rtol=1e-9, atol=0)
     assert sc_p.selected_blocks == sc.selected_blocks
     # sparse products sum neighbours in another order: equal up to rounding
-    assert np.allclose(sc_p.F[perm], sc.F, rtol=1e-12, atol=1e-15)
-    yhat = predict(sc, sc.F)[0]
-    yhat_p = predict(sc_p, sc_p.F)[0]
+    assert np.allclose(sc_p.rows(perm), sc.rows(np.arange(g.n)), rtol=1e-12, atol=1e-15)
+    yhat = predict(sc, sc.rows(np.arange(g.n)))[0]
+    yhat_p = predict(sc_p, sc_p.rows(np.arange(g.n)))[0]
     assert np.array_equal(yhat_p[perm], yhat)
 
 
