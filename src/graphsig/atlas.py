@@ -110,20 +110,6 @@ def _family_shares(energy, active):
     return _shares(means)
 
 
-def block_shares(energy: dict) -> dict:
-    """Normalize block evidence to shares; all-zero evidence stays zero."""
-    shares = _shares(np.array([list(energy.values())], dtype=np.float64))
-    return dict(zip(energy, shares[0].tolist()))
-
-
-def family_shares(energy: dict, active_names) -> dict:
-    """One row of ``_family_shares``: block name -> evidence in, family
-    name -> share out; blocks outside ``active_names`` are ignored."""
-    row = np.array([[energy.get(n, 0.0) for n in BLOCK_NAMES]], dtype=np.float64)
-    active = [b for b in BLOCKS if b.name in active_names]
-    return dict(zip(FAMILIES, _family_shares(row, active)[0].tolist()))
-
-
 def _margins(R, y_pos):
     """Per-row margin of the true class against the nearest wrong one;
     NaN where the true class is unseen (y_pos -1) or there is no other."""

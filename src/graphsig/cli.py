@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .atlas import dataset_fingerprint, emit_figure_data, node_atlas
-from .conventions import PACKAGE_VERSION
+from .conventions import FORMAT_VERSION, PACKAGE_VERSION
 from .dictionary import BLOCK_NAMES
 from .io import (
     RunConfig,
@@ -30,7 +30,6 @@ from .io import (
     load_dataset,
     load_snapshot,
     report_meta,
-    save_edge_provenance,
     save_snapshot,
     write_csv,
     write_json,
@@ -373,9 +372,14 @@ def cmd_prototype(args):
     yield "write"
     edge_path = os.path.join(args.out, "processed_edges.csv")
     save_edge_list(edge_path, g2.edges)
-    save_edge_provenance(
+    write_json(
         os.path.join(args.out, "processed_edges.json"),
-        dict(info, dataset=bundle.name, code_version=PACKAGE_VERSION),
+        dict(
+            info,
+            dataset=bundle.name,
+            code_version=PACKAGE_VERSION,
+            format_version=FORMAT_VERSION,
+        ),
     )
     print(
         f"prototype complete: {info['method']} "
@@ -515,15 +519,32 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--a", default=None, help="results.json of run A")
     pd.add_argument("--b", default=None, help="results.json of run B")
     pd.add_argument(
-        "--deltas", type=_floats, default=None, help="explicit deltas (pp), as --deltas=-1.5,0.5"
+        "--deltas", type=_floats, default=None, help="explicit deltas (pp), as --deltas -1.5,0.5"
     )
     pd.add_argument("--out", required=True)
     pd.set_defaults(fn=cmd_paired)
     return p
 
 
+def _glue_deltas(argv) -> list:
+    """argv with '--deltas -1.5,0.5' joined into '--deltas=-1.5,0.5':
+    argparse reads a value that starts with '-' as an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--deltas" and token.startswith("-"):
+            try:
+                _floats(token)
+            except ValueError:
+                pass  # an option after all; argparse reports it
+            else:
+                out[-1] = f"--deltas={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_deltas(sys.argv[1:] if argv is None else argv))
     os.makedirs(args.out, exist_ok=True)
     stage = None
     try:

@@ -128,14 +128,3 @@ def build_dictionary(g: SparseGraph, X: np.ndarray, active_blocks=None) -> Signa
         np.multiply(block, scale[:, None], out=F0[:, pos * d : (pos + 1) * d])
     coord_block = np.repeat(np.array([b.index for b in active], dtype=np.int64), d)
     return SignalDictionary(F0=F0, coord_block=coord_block, d=d, active=active)
-
-
-def block_slice(dictionary: SignalDictionary, b) -> np.ndarray:
-    """Contiguous column slice of one active block (KeyError if inactive)."""
-    if not isinstance(b, BlockId):
-        b = block_by_name(b)
-    for pos, active in enumerate(dictionary.active):
-        if active.index == b.index:
-            d = dictionary.d
-            return dictionary.F0[:, pos * d : (pos + 1) * d]
-    raise KeyError(f"block {b.name!r} is not active in this dictionary")

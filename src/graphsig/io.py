@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .conventions import FORMAT_VERSION, PACKAGE_VERSION, conventions
+from .conventions import PACKAGE_VERSION, conventions
 from .dictionary import BLOCK_NAMES
 from .graph import build_graph, load_edge_list
 from .scaffold import FittedScaffold, HyperConfig, SearchGrids, SplitSpec, fit
@@ -242,11 +242,6 @@ def report_meta(config_hash: str, split_mode: str) -> dict:
     )
 
 
-def meta_line(meta: dict) -> str:
-    """The '# k=v ...' first line of every report CSV."""
-    return "# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta))
-
-
 def _cell(v):
     if isinstance(v, float):
         return f"{v:.10g}" if math.isfinite(v) else ""
@@ -259,7 +254,7 @@ def write_csv(path, header, rows, meta=None) -> None:
     empty fields; every line ends in LF."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if meta:
-            fh.write(meta_line(meta) + "\n")
+            fh.write("# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)) + "\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows([_cell(v) for v in row] for row in rows)
@@ -293,11 +288,6 @@ def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def save_edge_provenance(path, info: dict) -> None:
-    """Sidecar for a processed edge list: method, parameters, counts."""
-    write_json(path, dict(info, format_version=FORMAT_VERSION))
 
 
 # ----------------------------------------------------------------- snapshots

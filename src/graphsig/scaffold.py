@@ -167,7 +167,6 @@ class FittedScaffold:
     fisher_idx: np.ndarray  # the rows the Fisher scores read
     labels: np.ndarray  # class id per node, -1 where the fit read no label
     dictionary: SignalDictionary  # the matrix the selection indexes; rows() reads it
-    epsilon: float = EPSILON
     extra: dict = field(default_factory=dict)  # a loaded snapshot's "extra"
 
     @property
@@ -187,29 +186,27 @@ def _onehot(y_tr, classes) -> np.ndarray:
     return Y
 
 
-def fit(g, X, y, train, config: HyperConfig, fisher_idx=None, dictionary=None) -> FittedScaffold:
+def fit(g, X, y, train, config: HyperConfig, fisher_idx=None) -> FittedScaffold:
     """Fit the full scaffold on the training nodes at one configuration.
 
-    This is ``grid_search`` over the one-point grid at ``config``.
-    ``fisher_idx`` optionally widens the node set used for Fisher
-    statistics (default: the training set).  A prebuilt dictionary for
-    the same (g, X, active_blocks) may be passed to skip rebuilding.
+    This is ``grid_search`` over the one-point grid at ``config``, on the
+    dictionary of ``config.active_blocks``.  ``fisher_idx`` optionally
+    widens the node set used for Fisher statistics (default: the
+    training set).
     """
     point = SearchGrids(
         (config.k,), (config.r_max,), (config.eta,), (config.alphas,), (config.w,)
     )
+    dictionary = build_dictionary(g, X, config.active_blocks)
     # a one-point grid leaves nothing to choose, so it reads no validation rows
-    _, scaffold, _ = grid_search(
-        g, X, y, train, (), point, config.active_blocks, fisher_idx, dictionary
-    )
+    _, scaffold, _ = grid_search(dictionary, y, train, (), point, fisher_idx)
     return scaffold
 
 
 def branch_scores(scaffold: FittedScaffold, F_rows: np.ndarray):
     """Standardized per-branch score matrices (R~_pca, R~_ridge)."""
-    eps = scaffold.epsilon
-    Rp = pca_residuals(F_rows, scaffold.subspaces) / (scaffold.sigma_pca + eps)
-    Rr = ridge_scores(scaffold.ridge, F_rows) / (scaffold.sigma_ridge + eps)
+    Rp = pca_residuals(F_rows, scaffold.subspaces) / (scaffold.sigma_pca + EPSILON)
+    Rr = ridge_scores(scaffold.ridge, F_rows) / (scaffold.sigma_ridge + EPSILON)
     return Rp, Rr
 
 
@@ -236,25 +233,26 @@ def accuracy(yhat, y_true) -> float:
 
 
 def grid_search(
-    g,
-    X,
+    dictionary: SignalDictionary,
     y,
     train,
     val,
     grids: SearchGrids = SearchGrids(),
-    active_blocks=BLOCK_NAMES,
     fisher_idx=None,
-    dictionary=None,
 ):
     """Validation-accuracy search over the full grid cross-product.
 
+    The search builds nothing: it fits on ``dictionary`` alone, and the
+    config it returns names that dictionary's active blocks, in
+    canonical block order.
+
     Enumeration is lexicographic in (K, r_max, eta, alpha_set, w); the
     first configuration attaining the maximum validation accuracy wins.
-    Shared work runs once per grid level: the dictionary and Fisher
-    scores once, the gather of the selected columns' train and val rows
-    and one SVD per class once per K, the truncation per (K, r_max,
-    eta), ridge solves once per (K, alpha_set), and the w sweep only
-    re-fuses precomputed branch scores.
+    Shared work runs once per grid level: the Fisher scores once, the
+    gather of the selected columns' train and val rows and one SVD per
+    class once per K, the truncation per (K, r_max, eta), ridge solves
+    once per (K, alpha_set), and the w sweep only re-fuses precomputed
+    branch scores.
 
     Three kinds of points are skipped because an earlier point already
     scored exactly the same validation predictions, so under first-wins
@@ -285,8 +283,6 @@ def grid_search(
     for w in grids.ws:
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"w must be in [0, 1], got {w}")
-    if dictionary is None:
-        dictionary = build_dictionary(g, X, active_blocks)
     fisher_idx = train if fisher_idx is None else np.asarray(fisher_idx, dtype=np.int64)
     q = fisher_scores(dictionary, fisher_idx, y)
     y_tr = y[train]
@@ -296,6 +292,7 @@ def grid_search(
     eps = EPSILON
     # a repeated alpha set scores what its first occurrence scored
     alpha_sets = tuple(dict.fromkeys(tuple(a) for a in grids.alpha_sets))
+    active_blocks = tuple(b.name for b in dictionary.active)
 
     best = None  # (val accuracy, config, pieces fitted at it)
     seen_k_eff = set()
@@ -335,7 +332,7 @@ def grid_search(
                                 eta=eta,
                                 alphas=key,
                                 w=w,
-                                active_blocks=tuple(active_blocks),
+                                active_blocks=active_blocks,
                             )
                             pieces = (selection, blocks, subspaces, model, sigma_pca, sigma_ridge)
                             best = (acc, config, pieces)
@@ -417,15 +414,7 @@ def evaluate_repeats(
             train if fisher_mode == "train" else np.sort(np.concatenate([train, val]))
         )
         config, scaffold, val_acc = grid_search(
-            g,
-            X,
-            y,
-            train,
-            val,
-            grids=grids,
-            active_blocks=active_blocks,
-            fisher_idx=fisher_idx,
-            dictionary=dictionary,
+            dictionary, y, train, val, grids=grids, fisher_idx=fisher_idx
         )
         scores = predict(scaffold, scaffold.rows(test))
         outcomes.append(

@@ -126,13 +126,14 @@ def pca_residuals(F: np.ndarray, subspaces) -> np.ndarray:
     """
     F = np.ascontiguousarray(F, dtype=np.float64)
     R = np.empty((F.shape[0], len(subspaces)))
+    V = np.empty_like(F)  # one centered buffer, reused by every class
     for k, sub in enumerate(subspaces):
         if F.shape[1] != sub.center.shape[0]:
             raise ValueError(
                 f"feature dimension {F.shape[1]} does not match subspace "
                 f"dimension {sub.center.shape[0]}"
             )
-        V = F - sub.center
+        np.subtract(F, sub.center, out=V)
         total = np.einsum("ij,ij->i", V, V)
         if sub.r > 0:
             proj = V.dot(sub.basis)

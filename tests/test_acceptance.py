@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from graphsig.atlas import dataset_fingerprint, node_atlas
+from graphsig.conventions import EPSILON
 from graphsig.dictionary import BLOCK_NAMES, build_dictionary
 from graphsig.fisher import fisher_scores, restrict, select_top_k
 from graphsig.graph import build_graph, propagate, row_operator, sym_operator
@@ -222,9 +223,9 @@ def test_A06_cached_grid_search_equals_naive():
         alpha_sets=((0.1,), (1.0, 10.0)),
         ws=(0.3, 0.5, 0.7),
     )
-    config, scaffold, best_acc = grid_search(g, X, y, train, val, grids=grids)
-
     dictionary = build_dictionary(g, X, BLOCK_NAMES)
+    config, scaffold, best_acc = grid_search(dictionary, y, train, val, grids=grids)
+
     best = None
     for k in grids.ks:
         for r_max in grids.r_maxs:
@@ -232,12 +233,12 @@ def test_A06_cached_grid_search_equals_naive():
                 for alphas in grids.alpha_sets:
                     for w in grids.ws:
                         cfg = HyperConfig(k=k, r_max=r_max, eta=eta, alphas=tuple(alphas), w=w)
-                        sc = fit(g, X, y, train, cfg, dictionary=dictionary)
+                        sc = fit(g, X, y, train, cfg)
                         acc = accuracy(predict(sc, sc.rows(val))[0], y[val])
                         if best is None or acc > best[0]:
                             best = (acc, cfg)
     naive_acc, naive_cfg = best
-    sc_naive = fit(g, X, y, train, naive_cfg, dictionary=dictionary)
+    sc_naive = fit(g, X, y, train, naive_cfg)
     pred_cached = predict(scaffold, scaffold.rows(np.arange(g.n)))[0]
     pred_naive = predict(sc_naive, sc_naive.rows(np.arange(g.n)))[0]
     elapsed = time.perf_counter() - t0
@@ -359,7 +360,7 @@ def test_A10_intervention_variants():
     for kk, c in enumerate(classes):
         Y[y_tr == c, kk] = 1.0
     model = fit_ridge(Fn[train], Y, base["alphas"])
-    eps = sc_raw.epsilon
+    eps = EPSILON
     s_p = float(np.std(pca_residuals(Fn[train], subs)))
     s_r = float(np.std(ridge_scores(model, Fn[train])))
     S = base["w"] * (pca_residuals(Fn, subs) / (s_p + eps)) + (1 - base["w"]) * (

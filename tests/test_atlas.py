@@ -20,11 +20,11 @@ from graphsig.atlas import (
     QUADRANTS,
     NodeAtlas,
     NodeAtlasRecord,
+    _family_shares,
     _margins,
-    block_shares,
+    _shares,
     dataset_fingerprint,
     emit_figure_data,
-    family_shares,
     fingerprint_payload,
     node_atlas,
     subspace_overlap,
@@ -34,6 +34,21 @@ from graphsig.graph import build_graph
 from graphsig.io import write_csv
 from graphsig.scaffold import HyperConfig, SplitSpec, branch_scores, fit, make_split, predict
 from graphsig.synth import make_sbm_dataset
+
+
+# one-row dict forms of the atlas's share rules, for the hand examples
+def block_shares(energy: dict) -> dict:
+    """Normalize block evidence to shares; all-zero evidence stays zero."""
+    shares = _shares(np.array([list(energy.values())], dtype=np.float64))
+    return dict(zip(energy, shares[0].tolist()))
+
+
+def family_shares(energy: dict, active_names) -> dict:
+    """One row of ``_family_shares``: block name -> evidence in, family
+    name -> share out; blocks outside ``active_names`` are ignored."""
+    row = np.array([[energy.get(n, 0.0) for n in BLOCK_NAMES]], dtype=np.float64)
+    active = [b for b in BLOCKS if b.name in active_names]
+    return dict(zip(FAMILIES, _family_shares(row, active)[0].tolist()))
 
 
 def small_dataset(seed=0, n_classes=2):

@@ -6,12 +6,25 @@ import pytest
 from graphsig.dictionary import (
     BLOCK_NAMES,
     BLOCKS,
+    BlockId,
+    SignalDictionary,
     block_by_name,
-    block_slice,
     build_dictionary,
     family_blocks,
 )
 from graphsig.graph import build_graph, propagate, row_operator, sym_operator
+
+
+# the layout oracle: where a block's columns must sit in F0
+def block_slice(dictionary: SignalDictionary, b) -> np.ndarray:
+    """Contiguous column slice of one active block (KeyError if inactive)."""
+    if not isinstance(b, BlockId):
+        b = block_by_name(b)
+    for pos, active in enumerate(dictionary.active):
+        if active.index == b.index:
+            d = dictionary.d
+            return dictionary.F0[:, pos * d : (pos + 1) * d]
+    raise KeyError(f"block {b.name!r} is not active in this dictionary")
 
 
 def small_instance(seed=0, n=12, d=4):

@@ -1,18 +1,23 @@
 import csv
 import dataclasses
 import filecmp
+import functools
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphsig
 from graphsig.cli import _run_config, build_parser, main
+from graphsig.dictionary import BLOCK_NAMES, build_dictionary
 from graphsig.graph import save_edge_list
 from graphsig.io import (
     RunConfig,
@@ -316,7 +321,9 @@ def searched_scaffold(fisher_mode):
         ks=(10, 30), r_maxs=(2, 5), etas=(0.9, 0.99),
         alpha_sets=((0.1,), (1.0, 10.0)), ws=(0.3, 0.5, 0.7),
     )
-    config, sc, _ = grid_search(g, X, y, train, val, grids=grids, fisher_idx=fisher_idx)
+    config, sc, _ = grid_search(
+        build_dictionary(g, X), y, train, val, grids=grids, fisher_idx=fisher_idx
+    )
     points = list(itertools.product(*dataclasses.astuple(grids)))
     at = points.index((config.k, config.r_max, config.eta, config.alphas, config.w))
     assert 0 < at < len(points) - 1  # neither the first nor the last point
@@ -370,6 +377,39 @@ def test_snapshot_stores_no_unread_label(tmp_path):
     labels = np.asarray(payload["labels"])
     assert np.flatnonzero(labels >= 0).tolist() == sorted(payload["train_idx"])
     assert not {"subspaces", "ridge", "selected", "sigma_pca"} & payload.keys()
+
+
+@functools.cache
+def block_order_dataset():
+    g, X, y = make_sbm_dataset(
+        n_per_class=20, n_classes=2, p_within=0.15, p_between=0.03,
+        d=4, shift=1.0, seed=11,
+    )
+    return (g, X, y, *make_split(y, SplitSpec(train_per_class=8, val_per_class=6, seed=11)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(BLOCK_NAMES), min_size=1, max_size=12))
+def test_config_names_the_dictionary_it_was_fit_on(blocks):
+    # any order, duplicates included: the config names the fitted blocks in
+    # canonical order, so a snapshot refits on the dictionary that was used
+    g, X, y, train, val, test = block_order_dataset()
+    sc = fit(g, X, y, train, HyperConfig(
+        k=12, r_max=3, eta=0.95, alphas=(0.1, 1.0), w=0.5, active_blocks=tuple(blocks),
+    ))
+    assert sc.config.active_blocks == tuple(b.name for b in sc.dictionary.active)
+    dictionary = build_dictionary(g, X, blocks)
+    grids = SearchGrids(ks=(6, 12), r_maxs=(2,), etas=(0.95,), alpha_sets=((1.0,),), ws=(0.3, 0.7))
+    config, searched, _ = grid_search(dictionary, y, train, val, grids=grids)
+    assert config.active_blocks == tuple(b.name for b in dictionary.active)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snap.json")
+        save_snapshot(path, searched)
+        loaded = load_snapshot(path, g, X)
+    for a, b in zip(
+        predict(searched, searched.rows(test)), predict(loaded, loaded.rows(test)), strict=True
+    ):
+        assert np.array_equal(a, b)
 
 
 # ------------------------------------------------------------------------ CLI
@@ -614,6 +654,20 @@ def test_cli_paired_negative_first_delta(tmp_path):
         payload = json.load(fh)
     assert payload["inputs"]["deltas"] == [-1.5, 0.5, 2.0]
     assert payload["result"]["mean"] == pytest.approx(1.0 / 3.0)
+
+
+def test_cli_paired_negative_first_delta_as_its_own_token(tmp_path):
+    # argparse alone reads '-1.5,0.5,2.0' as an option and exits
+    glued, spaced = str(tmp_path / "glued"), str(tmp_path / "spaced")
+    assert main(["paired", "--deltas=-1.5,0.5,2.0", "--out", glued]) == 0
+    assert main(["paired", "--deltas", "-1.5,0.5,2.0", "--out", spaced]) == 0
+    assert filecmp.cmp(
+        os.path.join(glued, "paired_report.json"),
+        os.path.join(spaced, "paired_report.json"),
+        shallow=False,
+    )
+    with pytest.raises(SystemExit):  # an option after --deltas stays an option
+        main(["paired", "--deltas", "--out", spaced])
 
 
 def test_cli_error_paths(disk_dataset, tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from graphsig import scaffold as scaffold_module
+from graphsig.conventions import EPSILON
 from graphsig.dictionary import build_dictionary
 from graphsig.graph import build_graph
 from graphsig.ridge import ridge_scores
@@ -161,8 +162,8 @@ def test_fit_shapes_and_standardization():
     assert sc.sigma_pca == pytest.approx(np.std(pca_residuals(F_tr, sc.subspaces)))
     assert sc.sigma_ridge == pytest.approx(np.std(ridge_scores(sc.ridge, F_tr)))
     Rp, Rr = branch_scores(sc, F_tr)
-    assert np.allclose(Rp * (sc.sigma_pca + sc.epsilon), pca_residuals(F_tr, sc.subspaces))
-    assert np.allclose(Rr * (sc.sigma_ridge + sc.epsilon), ridge_scores(sc.ridge, F_tr))
+    assert np.allclose(Rp * (sc.sigma_pca + EPSILON), pca_residuals(F_tr, sc.subspaces))
+    assert np.allclose(Rr * (sc.sigma_ridge + EPSILON), ridge_scores(sc.ridge, F_tr))
 
 
 def test_predict_uses_original_class_ids():
@@ -230,7 +231,7 @@ def test_grid_search_matches_naive_enumeration(ks, r_maxs):
         alpha_sets=((0.1,), (1.0, 10.0)),
         ws=(0.3, 0.5, 0.7),
     )
-    config, scaffold, best_acc = grid_search(g, X, y, train, val, grids=grids)
+    config, scaffold, best_acc = grid_search(build_dictionary(g, X), y, train, val, grids=grids)
     want_acc, want_cfg = naive_grid_search(g, X, y, train, val, grids)
     assert config == want_cfg
     assert best_acc == pytest.approx(want_acc, abs=1e-12)
@@ -252,7 +253,9 @@ def test_grid_search_scaffold_equals_fit_at_its_config(fisher_mode):
         ks=(10, 30), r_maxs=(2, 5), etas=(0.9, 0.99),
         alpha_sets=((0.1,), (1.0, 10.0)), ws=(0.3, 0.5, 0.7),
     )
-    config, got, _ = grid_search(g, X, y, train, val, grids=grids, fisher_idx=fisher_idx)
+    config, got, _ = grid_search(
+        build_dictionary(g, X), y, train, val, grids=grids, fisher_idx=fisher_idx
+    )
     want = fit(g, X, y, train, config, fisher_idx=fisher_idx)
     assert got.config == want.config == config
     assert np.array_equal(got.selection.selected, want.selection.selected)
@@ -288,7 +291,9 @@ def test_grid_search_val_accuracy_is_the_scaffolds(fisher_mode):
         ks=(10, 30), r_maxs=(2, 5), etas=(0.9, 0.99),
         alpha_sets=((0.1,), (1.0, 10.0), (0.1,)), ws=(0.3, 0.5, 0.7),
     )
-    _, sc, best_acc = grid_search(g, X, y, train, val, grids=grids, fisher_idx=fisher_idx)
+    _, sc, best_acc = grid_search(
+        build_dictionary(g, X), y, train, val, grids=grids, fisher_idx=fisher_idx
+    )
     assert best_acc == accuracy(predict(sc, sc.rows(val))[0], y[val])
 
 
@@ -324,7 +329,7 @@ def test_grid_search_requires_validation_nodes():
     g, X, y = small_dataset()
     train, _, _ = make_split(y, SplitSpec(train_per_class=10, val_per_class=5))
     with pytest.raises(ValueError, match="validation"):
-        grid_search(g, X, y, train, np.array([], dtype=np.int64))
+        grid_search(build_dictionary(g, X), y, train, np.array([], dtype=np.int64))
 
 
 def test_grid_search_with_two_points_requires_validation_nodes():
@@ -332,7 +337,9 @@ def test_grid_search_with_two_points_requires_validation_nodes():
     train, _, _ = make_split(y, SplitSpec(train_per_class=10, val_per_class=5))
     grids = SearchGrids(ks=(10,), r_maxs=(2,), etas=(0.9,), alpha_sets=((1.0,),), ws=(0.0, 1.0))
     with pytest.raises(ValueError, match="validation set must be nonempty"):
-        grid_search(g, X, y, train, np.array([], dtype=np.int64), grids=grids)
+        grid_search(
+            build_dictionary(g, X), y, train, np.array([], dtype=np.int64), grids=grids
+        )
 
 
 def test_fit_scores_each_training_row_once_per_branch(monkeypatch):
@@ -409,7 +416,7 @@ def test_fusion_weight_outside_unit_interval_fails(w):
     train, val, _ = make_split(y, SplitSpec(train_per_class=8, val_per_class=6))
     grids = SearchGrids(ks=(20,), r_maxs=(3,), etas=(0.95,), alpha_sets=((1.0,),), ws=(0.5, w))
     with pytest.raises(ValueError, match=rf"^w must be in \[0, 1\], got {w}$"):
-        grid_search(g, X, y, train, val, grids=grids)
+        grid_search(build_dictionary(g, X), y, train, val, grids=grids)
     with pytest.raises(ValueError, match=r"^w must be in \[0, 1\]"):
         fit(g, X, y, train, HyperConfig(k=20, r_max=3, eta=0.95, alphas=(1.0,), w=w))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,22 @@ def brute_force_residuals(F, subspaces):
         for i in range(F.shape[0]):
             v = F[i] - sub.center
             R[i, k] = np.sum((v - P @ v) ** 2)
+    return R
+
+
+def centered_copy_residuals(F, subspaces):
+    # the residuals with a fresh centered copy of F per class: the oracle
+    # for pca_residuals, which reuses one centered buffer
+    F = np.ascontiguousarray(F, dtype=np.float64)
+    R = np.empty((F.shape[0], len(subspaces)))
+    for k, sub in enumerate(subspaces):
+        V = F - sub.center
+        total = np.einsum("ij,ij->i", V, V)
+        if sub.r > 0:
+            proj = V.dot(sub.basis)
+            total = total - np.einsum("ij,ij->i", proj, proj)
+        R[:, k] = total
+    np.clip(R, 0.0, None, out=R)
     return R
 
 
@@ -195,3 +213,29 @@ def test_truncation_properties(data, eta):
             # nested bases: a larger rank cap never increases a residual
             assert np.all(R <= prev + 1e-9 * scale)
         prev = R
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(class_matrices(), st.integers(1, 6), st.sampled_from((0.5, 0.9, 1.0)))
+def test_residuals_equal_the_centered_copy_form(data, r_max, eta):
+    F_tr, y_tr, F = data
+    subs = fit_class_subspaces(F_tr, y_tr, r_max, eta)
+    for rows in (F, F_tr, np.asfortranarray(F_tr)):
+        assert np.array_equal(pca_residuals(rows, subs), centered_copy_residuals(rows, subs))
+
+
+@pytest.mark.parametrize("K", [300, 3000])
+def test_residuals_peak_memory_is_one_centered_buffer(K):
+    # one n x K centered buffer serves every class; a fresh copy per class
+    # keeps two alive at once, a peak of 2x F
+    rng = np.random.default_rng(K)
+    y_tr = np.repeat(np.arange(7), 4)
+    subs = fit_class_subspaces(rng.standard_normal((y_tr.size, K)), y_tr, r_max=3, eta=0.9)
+    F = rng.standard_normal((200, K))
+    tracemalloc.start()
+    try:
+        pca_residuals(F, subs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * F.nbytes
