@@ -28,6 +28,7 @@ import numpy as np
 
 from .conventions import conventions
 from .dictionary import BLOCK_NAMES, BLOCKS, FAMILIES, family_blocks
+from .fisher import restrict
 from .io import write_csv, write_json
 from .scaffold import predict
 
@@ -134,12 +135,11 @@ def node_atlas(scaffold, eval_idx, y, degree=None, scores=None) -> NodeAtlas:
     ``predict(scaffold, scaffold.rows(eval_idx))`` returned, when the caller
     has already scored those rows; without it they are scored here.
     Every column is computed for all eval nodes at once, one block or
-    family at a time.
+    family at a time; a block's evidence reads its own selected columns.
     """
     eval_idx = np.asarray(eval_idx, dtype=np.int64)
     labels = np.asarray(y)[eval_idx].astype(np.int64)
-    F_rows = scaffold.rows(eval_idx)
-    yhat, _, Rp, Rr = scores if scores is not None else predict(scaffold, F_rows)
+    yhat, _, Rp, Rr = predict(scaffold, scaffold.rows(eval_idx)) if scores is None else scores
     pred = yhat.astype(np.int64)
     pred_pca = scaffold.classes[np.argmin(Rp, axis=1)]
     pred_ridge = scaffold.classes[np.argmin(Rr, axis=1)]
@@ -150,12 +150,13 @@ def node_atlas(scaffold, eval_idx, y, degree=None, scores=None) -> NodeAtlas:
     y_pos = np.array([class_pos.get(int(c), -1) for c in labels], dtype=np.int64)
 
     sel = scaffold.selection
-    contrib = np.abs(F_rows) * sel.scores[sel.selected][None, :]
-    block_index = np.array([b.index for b in scaffold.selected_blocks])
-    active = sorted(set(scaffold.selected_blocks), key=attrgetter("index"))
+    owner = scaffold.dictionary.coord_block[sel.selected]
+    active = [BLOCKS[b] for b in np.unique(owner)]
     energy = np.zeros((eval_idx.size, len(BLOCKS)))
     for b in active:
-        energy[:, b.index] = _row_means(contrib, np.flatnonzero(block_index == b.index))
+        cols = sel.selected[owner == b.index]
+        F_b = restrict(scaffold.dictionary, cols, eval_idx)[0]
+        energy[:, b.index] = np.mean(np.abs(F_b) * sel.scores[cols], axis=1)
 
     return NodeAtlas(
         node=eval_idx,

@@ -126,14 +126,13 @@ def _split_spec(args) -> SplitSpec:
 
 
 def _grids(args) -> SearchGrids:
-    base = SearchGrids()
-    return SearchGrids(
-        ks=args.grid_k or base.ks,
-        r_maxs=args.grid_rmax or base.r_maxs,
-        etas=args.grid_eta or base.etas,
-        alpha_sets=args.grid_alphas or base.alpha_sets,
-        ws=args.grid_w or base.ws,
+    """The grids the flags name; an omitted flag keeps the default axis,
+    and an empty one stays empty, for the search to reject."""
+    given = dict(
+        ks=args.grid_k, r_maxs=args.grid_rmax, etas=args.grid_eta,
+        alpha_sets=args.grid_alphas, ws=args.grid_w,
     )
+    return SearchGrids(**{axis: v for axis, v in given.items() if v is not None})
 
 
 def _blocks(args):

@@ -72,8 +72,13 @@ def restrict(dictionary: SignalDictionary, selected, rows) -> tuple:
 
     Returns (F, blocks): F is F0[rows][:, selected], C-ordered, and
     blocks[t] is the BlockId of selected coordinate t, in selection order.
+    A node id outside [0, n) fails rather than wrapping around.
     """
     selected = np.asarray(selected, dtype=np.int64)
-    F = dictionary.F0[np.ix_(np.asarray(rows, dtype=np.int64), selected)]
+    rows = np.asarray(rows, dtype=np.int64)
+    outside = rows[(rows < 0) | (rows >= dictionary.n)]
+    if outside.size:
+        raise ValueError(f"node id {outside[0]} outside [0, {dictionary.n})")
+    F = dictionary.F0[np.ix_(rows, selected)]
     blocks = tuple(BLOCKS[b] for b in dictionary.coord_block[selected].tolist())
     return F, blocks

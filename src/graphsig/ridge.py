@@ -47,6 +47,8 @@ def fit_ridge(F_tr: np.ndarray, Y: np.ndarray, alphas, epsilon: float = EPSILON)
     F_tr = np.asarray(F_tr, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise ValueError("alphas must be nonempty")
     if any(a <= 0 for a in alphas):
         raise ValueError(f"alphas must all be positive, got {alphas}")
     if Y.shape[0] != F_tr.shape[0]:

@@ -157,7 +157,6 @@ def make_split(y, spec: SplitSpec):
 class FittedScaffold:
     config: HyperConfig
     selection: object  # FisherSelection
-    selected_blocks: tuple  # BlockId per selected coordinate
     subspaces: list
     ridge: object  # RidgeModel
     sigma_pca: float
@@ -271,19 +270,33 @@ def grid_search(
     fisher_idx=scaffold.fisher_idx)`` rebuilds it.
 
     A one-point grid may take an empty ``val``: there is nothing to
-    choose, and the val accuracy is then NaN.
+    choose, and the val accuracy is then NaN.  An empty grid axis or
+    alpha set, and a train, val or Fisher row outside the graph or
+    without a label, fail.
 
     Returns (best HyperConfig, FittedScaffold at it, val accuracy).
     """
     y = np.asarray(y)
     train = np.asarray(train, dtype=np.int64)
     val = np.asarray(val, dtype=np.int64)
+    for axis in ("ks", "r_maxs", "etas", "alpha_sets", "ws"):
+        if not getattr(grids, axis):
+            raise ValueError(f"grid axis {axis} is empty")
+    if not all(grids.alpha_sets):
+        raise ValueError("grid axis alpha_sets holds an empty alpha set")
     if val.size == 0 and grids.size() > 1:
         raise ValueError("validation set must be nonempty")
     for w in grids.ws:
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"w must be in [0, 1], got {w}")
     fisher_idx = train if fisher_idx is None else np.asarray(fisher_idx, dtype=np.int64)
+    for name, idx in (("train", train), ("val", val), ("Fisher", fisher_idx)):
+        outside = idx[(idx < 0) | (idx >= dictionary.n)]
+        if outside.size:  # the Fisher rows are read without restrict
+            raise ValueError(f"{name} node id {outside[0]} outside [0, {dictionary.n})")
+        unlabeled = idx[y[idx] < 0]
+        if unlabeled.size:
+            raise ValueError(f"{name} node {unlabeled[0]} has no label")
     q = fisher_scores(dictionary, fisher_idx, y)
     y_tr = y[train]
     y_val = y[val]
@@ -302,7 +315,7 @@ def grid_search(
             continue
         seen_k_eff.add(selection.k_eff)
         # the search reads train and val rows only
-        F_tr, blocks = restrict(dictionary, selection.selected, train)
+        F_tr = restrict(dictionary, selection.selected, train)[0]
         F_val = restrict(dictionary, selection.selected, val)[0]
         svds = class_svds(F_tr, y_tr)
         ridges = []
@@ -334,16 +347,15 @@ def grid_search(
                                 w=w,
                                 active_blocks=active_blocks,
                             )
-                            pieces = (selection, blocks, subspaces, model, sigma_pca, sigma_ridge)
+                            pieces = (selection, subspaces, model, sigma_pca, sigma_ridge)
                             best = (acc, config, pieces)
-    best_acc, best_config, (selection, blocks, subspaces, model, sigma_pca, sigma_ridge) = best
+    best_acc, best_config, (selection, subspaces, model, sigma_pca, sigma_ridge) = best
     read = np.concatenate([train, fisher_idx])
     labels = np.full(y.shape[0], -1, dtype=np.int64)
     labels[read] = y[read]
     scaffold = FittedScaffold(
         config=best_config,
         selection=selection,
-        selected_blocks=blocks,
         subspaces=subspaces,
         ridge=model,
         sigma_pca=sigma_pca,

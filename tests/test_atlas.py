@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import os
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from operator import attrgetter
@@ -30,6 +31,7 @@ from graphsig.atlas import (
     subspace_overlap,
 )
 from graphsig.dictionary import BLOCK_NAMES, BLOCKS, FAMILIES
+from graphsig.fisher import restrict
 from graphsig.graph import build_graph
 from graphsig.io import write_csv
 from graphsig.scaffold import HyperConfig, SplitSpec, branch_scores, fit, make_split, predict
@@ -49,6 +51,10 @@ def family_shares(energy: dict, active_names) -> dict:
     row = np.array([[energy.get(n, 0.0) for n in BLOCK_NAMES]], dtype=np.float64)
     active = [b for b in BLOCKS if b.name in active_names]
     return dict(zip(FAMILIES, _family_shares(row, active)[0].tolist()))
+
+
+def selected_blocks(sc):
+    return restrict(sc.dictionary, sc.selection.selected, [])[1]
 
 
 def small_dataset(seed=0, n_classes=2):
@@ -125,9 +131,41 @@ def test_record_energy_matches_hand_computation():
     r0 = records[0]
     row = np.abs(sc.rows([r0.node])[0]) * q_sel
     for name in BLOCK_NAMES:
-        cols = [j for j, b in enumerate(sc.selected_blocks) if b.name == name]
+        cols = [j for j, b in enumerate(selected_blocks(sc)) if b.name == name]
         want = float(np.mean(row[cols])) if cols else 0.0
         assert r0.block_energy[name] == pytest.approx(want, abs=1e-12)
+
+
+def test_node_ids_outside_the_graph_fail():
+    g, X, y, sc, test = fitted()
+    for bad in (-1, g.n):
+        with pytest.raises(ValueError, match=rf"^node id {bad} outside \[0, {g.n}\)$"):
+            sc.rows([bad])
+    # -1 would otherwise report node n - 1's evidence under id -1
+    with pytest.raises(ValueError, match=r"^node id -1 outside"):
+        node_atlas(sc, [-1], y, g.degree)
+    scores = predict(sc, sc.rows([g.n - 1]))
+    with pytest.raises(ValueError, match=r"^node id -1 outside"):
+        node_atlas(sc, [-1], y, g.degree, scores)
+
+
+def test_node_atlas_with_scores_holds_no_copy_of_the_eval_rows():
+    # every dictionary column is selected, so the eval rows are
+    # len(test) x 9d; the atlas reads one block's columns at a time
+    g, X, y = make_sbm_dataset(
+        n_per_class=150, n_classes=3, p_within=0.05, p_between=0.01, d=64, shift=2.0, seed=4,
+    )
+    train, _, test = make_split(y, SplitSpec(train_per_class=20, val_per_class=10, seed=4))
+    sc = fit(g, X, y, train, HyperConfig(k=1000, r_max=4, eta=0.95, alphas=(1.0,), w=0.5))
+    assert sc.selection.k_eff == sc.dictionary.p
+    scores = predict(sc, sc.rows(test))
+    tracemalloc.start()
+    try:
+        node_atlas(sc, test, y, g.degree, scores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < test.size * sc.selection.k_eff * 8
 
 
 def test_margins_match_branch_scores():
@@ -438,8 +476,8 @@ def loop_node_atlas(scaffold, eval_idx, y, degree=None):
     labels = np.asarray(y)[eval_idx]
     sel = scaffold.selection
     q_sel = sel.scores[sel.selected]
-    block_index = np.array([b.index for b in scaffold.selected_blocks])
-    active = sorted(set(scaffold.selected_blocks), key=lambda b: b.index)
+    block_index = np.array([b.index for b in selected_blocks(scaffold)])
+    active = sorted(set(selected_blocks(scaffold)), key=lambda b: b.index)
     active_names = [b.name for b in active]
     block_cols = [(b.name, np.flatnonzero(block_index == b.index)) for b in active]
 

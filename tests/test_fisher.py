@@ -131,3 +131,10 @@ def test_restrict_is_the_c_ordered_row_and_column_gather(rows, selected):
     assert F.shape == (len(rows), selected.size)
     assert np.array_equal(F, D.F0[:, selected][np.array(rows, dtype=np.int64)])
     assert [b.index for b in blocks] == D.coord_block[selected].tolist()
+
+
+def test_restrict_rejects_node_ids_outside_the_graph():
+    D = _restrict_dictionary()
+    for bad in (-1, D.n):
+        with pytest.raises(ValueError, match=rf"^node id {bad} outside \[0, {D.n}\)$"):
+            restrict(D, [0, 3], [0, bad])

@@ -801,6 +801,12 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
             "evaluate",
             id="fusion-weight-outside-unit-interval",
         ),
+        pytest.param(
+            ["run", *DATA, "--train-per-class", "8", "--val-per-class", "5", "--repeats", "1",
+             "--grid-k", ""],
+            "evaluate",
+            id="empty-grid-axis",
+        ),
         # the default 20 train / 30 val request leaves 25-member classes no test node
         pytest.param(["run", *DATA, "--repeats", "1"], "evaluate", id="split-without-test"),
         pytest.param(

@@ -87,6 +87,11 @@ def test_transductive_scores_lower_for_true_class():
     assert np.mean(np.argmin(R, axis=1) == y) > 0.95
 
 
+def test_empty_alpha_set_fails():
+    with pytest.raises(ValueError, match="^alphas must be nonempty$"):
+        fit_ridge(np.zeros((4, 2)), np.eye(2)[[0, 1, 0, 1]], alphas=())
+
+
 def test_validation_errors():
     F_tr = np.zeros((4, 2))
     Y = np.eye(2)[[0, 1, 0, 1]]

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from graphsig import scaffold as scaffold_module
 from graphsig.conventions import EPSILON
 from graphsig.dictionary import build_dictionary
+from graphsig.fisher import restrict
 from graphsig.graph import build_graph
 from graphsig.ridge import ridge_scores
 from graphsig.scaffold import (
@@ -34,6 +35,10 @@ def small_dataset(seed=0):
         n_per_class=30, n_classes=2, p_within=0.15, p_between=0.02,
         d=6, shift=3.0, seed=seed,
     )
+
+
+def selected_blocks(sc):
+    return restrict(sc.dictionary, sc.selection.selected, [])[1]
 
 
 def check_partition(y, train, val, test):
@@ -156,7 +161,7 @@ def test_fit_shapes_and_standardization():
     p = 9 * X.shape[1]
     assert sc.selection.k_eff == min(30, p)
     assert sc.rows(np.arange(g.n)).shape == (g.n, sc.selection.k_eff)
-    assert len(sc.selected_blocks) == sc.selection.k_eff
+    assert len(selected_blocks(sc)) == sc.selection.k_eff
     assert np.array_equal(sc.classes, [0, 1])
     F_tr = sc.rows(train)
     assert sc.sigma_pca == pytest.approx(np.std(pca_residuals(F_tr, sc.subspaces)))
@@ -260,7 +265,7 @@ def test_grid_search_scaffold_equals_fit_at_its_config(fisher_mode):
     assert got.config == want.config == config
     assert np.array_equal(got.selection.selected, want.selection.selected)
     assert np.array_equal(got.selection.scores, want.selection.scores)
-    assert got.selected_blocks == want.selected_blocks
+    assert selected_blocks(got) == selected_blocks(want)
     assert np.array_equal(got.rows(np.arange(g.n)), want.rows(np.arange(g.n)))
     assert np.array_equal(got.classes, want.classes)
     assert np.array_equal(got.train_idx, want.train_idx)
@@ -421,6 +426,59 @@ def test_fusion_weight_outside_unit_interval_fails(w):
         fit(g, X, y, train, HyperConfig(k=20, r_max=3, eta=0.95, alphas=(1.0,), w=w))
 
 
+@pytest.mark.parametrize("axis", ["ks", "r_maxs", "etas", "alpha_sets", "ws"])
+def test_grid_search_rejects_an_empty_axis(axis):
+    g, X, y = small_dataset()
+    train, val, _ = make_split(y, SplitSpec(train_per_class=8, val_per_class=6))
+    grids = dataclasses.replace(SearchGrids(ks=(20,), r_maxs=(3,)), **{axis: ()})
+    with pytest.raises(ValueError, match=rf"^grid axis {axis} is empty$"):
+        grid_search(build_dictionary(g, X), y, train, val, grids=grids)
+    grids = SearchGrids(ks=(20,), r_maxs=(3,), alpha_sets=((1.0,), ()))
+    with pytest.raises(ValueError, match=r"^grid axis alpha_sets holds an empty alpha set$"):
+        grid_search(build_dictionary(g, X), y, train, val, grids=grids)
+
+
+def test_fit_rejects_unlabeled_rows():
+    g, X, y = small_dataset()
+    train, val, _ = make_split(y, SplitSpec(train_per_class=8, val_per_class=6))
+    D = build_dictionary(g, X)
+    config = HyperConfig(k=20, r_max=3, eta=0.95, alphas=(1.0,), w=0.5)
+    point = SearchGrids((20,), (3,), (0.95,), ((1.0,),), (0.5,))
+    wide = np.sort(np.concatenate([train, val]))
+    for node, role, args in (
+        (train[0], "train", (train, val, point)),
+        (val[0], "val", (train, val, point)),
+        (val[0], "Fisher", (train, val[1:], point, wide)),
+    ):
+        y_hole = y.copy()
+        y_hole[node] = -1
+        with pytest.raises(ValueError, match=rf"^{role} node {node} has no label$"):
+            grid_search(D, y_hole, *args)
+    y_hole = y.copy()
+    y_hole[train[0]] = -1  # fit would otherwise learn a class -1
+    with pytest.raises(ValueError, match=rf"^train node {train[0]} has no label$"):
+        fit(g, X, y_hole, train, config)
+    with pytest.raises(ValueError, match=rf"^Fisher node {val[0]} has no label$"):
+        fit(g, X, np.where(np.arange(g.n) == val[0], -1, y), train, config, fisher_idx=wide)
+
+
+@pytest.mark.parametrize("bad", [-1, 60])
+def test_grid_search_rejects_rows_outside_the_graph(bad):
+    g, X, y = small_dataset()
+    train, val, _ = make_split(y, SplitSpec(train_per_class=8, val_per_class=6))
+    D = build_dictionary(g, X)
+    point = SearchGrids((20,), (3,), (0.95,), ((1.0,),), (0.5,))
+    with_bad = np.append(train, bad)
+    # -1 would otherwise read node n - 1's Fisher statistics
+    for role, args in (
+        ("train", (with_bad, val, point)),
+        ("val", (train, np.append(val, bad), point)),
+        ("Fisher", (train, val, point, with_bad)),
+    ):
+        with pytest.raises(ValueError, match=rf"^{role} node id {bad} outside \[0, 60\)$"):
+            grid_search(D, y, *args)
+
+
 def test_fit_is_equivariant_under_node_relabelling():
     g, X, y = make_sbm_dataset(
         n_per_class=30, n_classes=3, p_within=0.12, p_between=0.02,
@@ -439,7 +497,7 @@ def test_fit_is_equivariant_under_node_relabelling():
     sc_p = fit(g_p, X_p, y_p, train_p, config)
     assert np.array_equal(sc_p.selection.selected, sc.selection.selected)
     assert np.allclose(sc_p.selection.scores, sc.selection.scores, rtol=1e-9, atol=0)
-    assert sc_p.selected_blocks == sc.selected_blocks
+    assert selected_blocks(sc_p) == selected_blocks(sc)
     # sparse products sum neighbours in another order: equal up to rounding
     assert np.allclose(sc_p.rows(perm), sc.rows(np.arange(g.n)), rtol=1e-12, atol=1e-15)
     yhat = predict(sc, sc.rows(np.arange(g.n)))[0]
