@@ -57,10 +57,7 @@ def _floats(text):
 
 
 def _alpha_sets(text):
-    sets = tuple(_floats(part) for part in text.split(";") if part.strip())
-    if not sets:
-        raise argparse.ArgumentTypeError("empty alpha-set grid")
-    return sets
+    return tuple(_floats(part) for part in text.split(";") if part.strip())
 
 
 def _add_dataset_args(p, labels_required=True):
@@ -96,17 +93,17 @@ def _add_model_args(p):
         default=",".join(_RUN.active_blocks),
         help="comma-separated active dictionary blocks",
     )
-    p.add_argument("--grid-k", type=_ints, default=None, metavar="K1,K2,...")
-    p.add_argument("--grid-rmax", type=_ints, default=None, metavar="R1,R2,...")
-    p.add_argument("--grid-eta", type=_floats, default=None, metavar="E1,E2,...")
+    # the grid flags keep their text; _grids parses it at stage configure
+    p.add_argument("--grid-k", default=None, metavar="K1,K2,...")
+    p.add_argument("--grid-rmax", default=None, metavar="R1,R2,...")
+    p.add_argument("--grid-eta", default=None, metavar="E1,E2,...")
     p.add_argument(
         "--grid-alphas",
-        type=_alpha_sets,
         default=None,
         metavar="A1,A2,A3;B1,B2,B3",
         help="semicolon-separated alpha sets",
     )
-    p.add_argument("--grid-w", type=_floats, default=None, metavar="W1,W2,...")
+    p.add_argument("--grid-w", default=None, metavar="W1,W2,...")
     p.add_argument("--fisher-mode", choices=("train", "train+val"), default=_RUN.fisher_mode)
 
 
@@ -127,12 +124,23 @@ def _split_spec(args) -> SplitSpec:
 
 def _grids(args) -> SearchGrids:
     """The grids the flags name; an omitted flag keeps the default axis,
-    and an empty one stays empty, for the search to reject."""
-    given = dict(
-        ks=args.grid_k, r_maxs=args.grid_rmax, etas=args.grid_eta,
-        alpha_sets=args.grid_alphas, ws=args.grid_w,
+    an empty one stays empty, for the search to reject, and a value that
+    does not parse fails here, naming its flag."""
+    flags = (
+        ("ks", "--grid-k", args.grid_k, _ints),
+        ("r_maxs", "--grid-rmax", args.grid_rmax, _ints),
+        ("etas", "--grid-eta", args.grid_eta, _floats),
+        ("alpha_sets", "--grid-alphas", args.grid_alphas, _alpha_sets),
+        ("ws", "--grid-w", args.grid_w, _floats),
     )
-    return SearchGrids(**{axis: v for axis, v in given.items() if v is not None})
+    given = {}
+    for axis, flag, text, parse in flags:
+        if text is not None:
+            try:
+                given[axis] = parse(text)
+            except ValueError as e:
+                raise ValueError(f"{flag} {text!r}: {e}") from None
+    return SearchGrids(**given)
 
 
 def _blocks(args):

@@ -83,8 +83,14 @@ def ridge_scores(model: RidgeModel, F: np.ndarray) -> np.ndarray:
             f"feature dimension {F.shape[1]} does not match training "
             f"dimension {model.F_tr.shape[1]}"
         )
-    cross = F.dot(model.F_tr.T)
-    out = np.zeros((F.shape[0], model.betas[0].shape[1]))
+    return scores_from_cross(model, F.dot(model.F_tr.T))
+
+
+def scores_from_cross(model: RidgeModel, cross: np.ndarray) -> np.ndarray:
+    """The ridge score matrix of rows whose cross product with the
+    training rows, ``F F_tr^T``, is ``cross``; callers that score several
+    alpha sets of one training matrix compute it once."""
+    out = np.zeros((cross.shape[0], model.betas[0].shape[1]))
     for beta, sigma in zip(model.betas, model.sigmas):
         out -= cross.dot(beta) / (sigma + model.epsilon)
     out /= len(model.alphas)

@@ -24,7 +24,7 @@ import numpy as np
 from .conventions import EPSILON
 from .dictionary import BLOCK_NAMES, SignalDictionary, build_dictionary
 from .fisher import fisher_scores, restrict, select_top_k
-from .ridge import fit_ridge, ridge_scores
+from .ridge import fit_ridge, ridge_scores, scores_from_cross
 from .subspace import class_svds, pca_residuals, truncate_subspaces
 
 DEFAULT_K_GRID = (4000, 5000, 6000, 8000)
@@ -247,11 +247,16 @@ def grid_search(
 
     Enumeration is lexicographic in (K, r_max, eta, alpha_set, w); the
     first configuration attaining the maximum validation accuracy wins.
-    Shared work runs once per grid level: the Fisher scores once, the
-    gather of the selected columns' train and val rows and one SVD per
-    class once per K, the truncation per (K, r_max, eta), ridge solves
-    once per (K, alpha_set), and the w sweep only re-fuses precomputed
-    branch scores.
+    Shared work runs once per grid level: the Fisher scores once; per
+    K the gather of the selected columns' train and val rows, one SVD
+    per class, one ``pca_residuals`` call per row set over the
+    subspaces of every (r_max, eta) point (one centering per class, one
+    projection per distinct class rank), one ``fit_ridge`` over the
+    distinct alphas of all alpha sets, and one cross product with the
+    train rows per row set, which every alpha set's scores read; the
+    truncation per (K, r_max, eta); and the w sweep only re-fuses
+    precomputed branch scores.  Each point's scores are bitwise those
+    of scoring it alone.
 
     Three kinds of points are skipped because an earlier point already
     scored exactly the same validation predictions, so under first-wins
@@ -318,37 +323,60 @@ def grid_search(
         F_tr = restrict(dictionary, selection.selected, train)[0]
         F_val = restrict(dictionary, selection.selected, val)[0]
         svds = class_svds(F_tr, y_tr)
-        ridges = []
-        for key in alpha_sets:
-            model = fit_ridge(F_tr, Y, key)
-            sigma_ridge = float(np.std(ridge_scores(model, F_tr)))
-            Rr_val = ridge_scores(model, F_val) / (sigma_ridge + eps)
-            ridges.append((key, model, sigma_ridge, Rr_val))
+        points = []  # (r_max, eta, subspaces) whose ranks no earlier point had
         seen_ranks = set()
         for r_max in grids.r_maxs:
             for eta in grids.etas:
                 subspaces = truncate_subspaces(svds, r_max, eta)
                 ranks = tuple(s.r for s in subspaces)
-                if ranks in seen_ranks:
-                    continue
-                seen_ranks.add(ranks)
-                sigma_pca = float(np.std(pca_residuals(F_tr, subspaces)))
-                Rp_val = pca_residuals(F_val, subspaces) / (sigma_pca + eps)
-                for key, model, sigma_ridge, Rr_val in ridges:
-                    for w in grids.ws:
-                        _, yhat = fuse(Rp_val, Rr_val, w, classes)
-                        acc = accuracy(yhat, y_val)
-                        if best is None or acc > best[0]:
-                            config = HyperConfig(
-                                k=k,
-                                r_max=r_max,
-                                eta=eta,
-                                alphas=key,
-                                w=w,
-                                active_blocks=active_blocks,
-                            )
-                            pieces = (selection, subspaces, model, sigma_pca, sigma_ridge)
-                            best = (acc, config, pieces)
+                if ranks not in seen_ranks:
+                    seen_ranks.add(ranks)
+                    points.append((r_max, eta, subspaces))
+        # every point's residuals from one call per row set: the calls
+        # share each class's centering and each (class, rank) projection
+        stacked = [s for _, _, subspaces in points for s in subspaces]
+        R_tr = pca_residuals(F_tr, stacked)
+        R_val = pca_residuals(F_val, stacked)
+        # one solve per distinct alpha, and one cross product per row set,
+        # serve every alpha set
+        distinct = tuple(dict.fromkeys(float(a) for key in alpha_sets for a in key))
+        union = fit_ridge(F_tr, Y, distinct)
+        solved = dict(zip(union.alphas, zip(union.betas, union.sigmas)))
+        cross_tr = F_tr.dot(union.F_tr.T)
+        cross_val = F_val.dot(union.F_tr.T)
+        ridges = []
+        for key in alpha_sets:
+            alphas = tuple(float(a) for a in key)
+            model = dataclasses.replace(
+                union,
+                alphas=alphas,
+                betas=tuple(solved[a][0] for a in alphas),
+                sigmas=tuple(solved[a][1] for a in alphas),
+            )
+            sigma_ridge = float(np.std(scores_from_cross(model, cross_tr)))
+            Rr_val = scores_from_cross(model, cross_val) / (sigma_ridge + eps)
+            ridges.append((key, model, sigma_ridge, Rr_val))
+        C = len(svds)
+        for p, (r_max, eta, subspaces) in enumerate(points):
+            cols = slice(p * C, (p + 1) * C)
+            # the std reads a C-ordered copy, as it read a one-point matrix
+            sigma_pca = float(np.std(np.ascontiguousarray(R_tr[:, cols])))
+            Rp_val = R_val[:, cols] / (sigma_pca + eps)
+            for key, model, sigma_ridge, Rr_val in ridges:
+                for w in grids.ws:
+                    _, yhat = fuse(Rp_val, Rr_val, w, classes)
+                    acc = accuracy(yhat, y_val)
+                    if best is None or acc > best[0]:
+                        config = HyperConfig(
+                            k=k,
+                            r_max=r_max,
+                            eta=eta,
+                            alphas=key,
+                            w=w,
+                            active_blocks=active_blocks,
+                        )
+                        pieces = (selection, subspaces, model, sigma_pca, sigma_ridge)
+                        best = (acc, config, pieces)
     best_acc, best_config, (selection, subspaces, model, sigma_pca, sigma_ridge) = best
     read = np.concatenate([train, fisher_idx])
     labels = np.full(y.shape[0], -1, dtype=np.int64)

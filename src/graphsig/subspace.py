@@ -45,7 +45,7 @@ class ClassSVD:
     label: int
     center: np.ndarray  # (K,)
     svals: np.ndarray  # singular values above RANK_CUTOFF, descending
-    Vt: np.ndarray  # (len(svals), K) right-singular directions
+    basis: np.ndarray  # (K, len(svals)) sign-fixed right-singular directions
     n_members: int
 
 
@@ -75,7 +75,13 @@ def class_svds(F_tr: np.ndarray, y_tr) -> list:
             Vt = Vt[: svals.size]
         svds.append(
             ClassSVD(
-                label=int(c), center=center, svals=svals, Vt=Vt, n_members=rows.shape[0]
+                label=int(c),
+                center=center,
+                svals=svals,
+                # signs are fixed column by column, so every truncation is a
+                # leading slice of this one basis
+                basis=_fix_signs(Vt.T),
+                n_members=rows.shape[0],
             )
         )
     return svds
@@ -92,18 +98,17 @@ def truncate_subspaces(svds, r_max: int, eta: float) -> list:
         K = sv.center.shape[0]
         if sv.svals.size == 0:
             # all class rows identical (or a single member): zero variance
-            r, basis, achieved = 0, np.zeros((K, 0)), 1.0
+            r, achieved = 0, 1.0
         else:
             energy = np.cumsum(sv.svals**2) / np.sum(sv.svals**2)
             r = int(np.searchsorted(energy, eta - 1e-15) + 1)
             r = min(r, r_max, sv.n_members - 1, K)
-            basis = _fix_signs(sv.Vt[:r].T)
             achieved = float(energy[r - 1]) if r > 0 else 0.0
         subspaces.append(
             ClassSubspace(
                 label=sv.label,
                 center=sv.center,
-                basis=basis,
+                basis=sv.basis[:, :r],
                 r=r,
                 energy_fraction=achieved,
                 n_members=sv.n_members,
@@ -118,27 +123,44 @@ def fit_class_subspaces(F_tr: np.ndarray, y_tr, r_max: int, eta: float) -> list:
 
 
 def pca_residuals(F: np.ndarray, subspaces) -> np.ndarray:
-    """Residual matrix, nodes x classes, via the norm-difference identity.
+    """Residual matrix, nodes x subspaces, via the norm-difference identity.
 
     The rows are read C-ordered: the products round differently for
     another memory order, and a score must depend on the rows' values
-    only.
+    only.  Work is shared between subspaces, so one call may score many
+    truncations of the same classes: the rows are centered, and their
+    squared norms taken, once per distinct ``center`` object, and the
+    projection is computed once per distinct basis memory (data pointer,
+    shape, strides) under that center.  A basis sliced to another rank
+    gets its own product, because a column slice of a wider product
+    rounds differently.
     """
     F = np.ascontiguousarray(F, dtype=np.float64)
-    R = np.empty((F.shape[0], len(subspaces)))
-    V = np.empty_like(F)  # one centered buffer, reused by every class
+    by_center = {}  # id(center) -> column indices, in first-seen order
     for k, sub in enumerate(subspaces):
         if F.shape[1] != sub.center.shape[0]:
             raise ValueError(
                 f"feature dimension {F.shape[1]} does not match subspace "
                 f"dimension {sub.center.shape[0]}"
             )
-        np.subtract(F, sub.center, out=V)
+        by_center.setdefault(id(sub.center), []).append(k)
+    R = np.empty((F.shape[0], len(subspaces)))
+    V = np.empty_like(F)  # one centered buffer, reused by every center
+    for cols in by_center.values():
+        np.subtract(F, subspaces[cols[0]].center, out=V)
         total = np.einsum("ij,ij->i", V, V)
-        if sub.r > 0:
-            proj = V.dot(sub.basis)
-            total = total - np.einsum("ij,ij->i", proj, proj)
-        R[:, k] = total
+        scored = {}  # basis memory -> the column it was scored into
+        for k in cols:
+            basis = subspaces[k].basis
+            key = (basis.__array_interface__["data"][0], basis.shape, basis.strides)
+            if subspaces[k].r == 0:
+                R[:, k] = total
+            elif key in scored:
+                R[:, k] = R[:, scored[key]]
+            else:
+                proj = V.dot(basis)
+                R[:, k] = total - np.einsum("ij,ij->i", proj, proj)
+                scored[key] = k
     # the identity can go a hair negative in floating point
     np.clip(R, 0.0, None, out=R)
     return R

@@ -807,6 +807,14 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
             "evaluate",
             id="empty-grid-axis",
         ),
+        pytest.param(
+            ["run", *DATA, "--train-per-class", "8", "--val-per-class", "5", "--repeats", "1",
+             "--grid-alphas", ""],
+            "evaluate",
+            id="empty-alpha-grid",
+        ),
+        pytest.param(["run", *DATA, "--grid-k", "4000,x"], "configure", id="malformed-grid-k"),
+        pytest.param(["run", *DATA, "--grid-eta", "abc"], "configure", id="malformed-grid-eta"),
         # the default 20 train / 30 val request leaves 25-member classes no test node
         pytest.param(["run", *DATA, "--repeats", "1"], "evaluate", id="split-without-test"),
         pytest.param(
@@ -866,6 +874,19 @@ def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, caps
     assert len(lines) == 1
     assert lines[0].startswith(f"graphsig {argv[0]}: stage {stage}: ")
     assert os.listdir(out) == []  # failed before writing any report
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [("--grid-k", "4000,x"), ("--grid-rmax", "3.5"), ("--grid-eta", "abc"),
+     ("--grid-alphas", "0.1,1;y"), ("--grid-w", "0.5,,z")],
+)
+def test_cli_malformed_grid_flag_names_the_flag(flag, text, disk_dataset, tmp_path, capsys):
+    argv = [a.format(**disk_dataset) for a in ["run", *DATA, flag, text]]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"graphsig run: stage configure: {flag} {text!r}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_defaults_are_the_run_config_defaults():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 
@@ -7,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from graphsig import ridge as ridge_module
 from graphsig import scaffold as scaffold_module
 from graphsig.conventions import EPSILON
 from graphsig.dictionary import build_dictionary
-from graphsig.fisher import restrict
+from graphsig.fisher import fisher_scores, restrict, select_top_k
 from graphsig.graph import build_graph
-from graphsig.ridge import ridge_scores
+from graphsig.ridge import fit_ridge, ridge_scores, scores_from_cross
 from graphsig.scaffold import (
     HyperConfig,
     SearchGrids,
@@ -21,12 +23,13 @@ from graphsig.scaffold import (
     branch_scores,
     evaluate_repeats,
     fit,
+    fuse,
     grid_search,
     make_split,
     predict,
     summarize_repeats,
 )
-from graphsig.subspace import pca_residuals
+from graphsig.subspace import class_svds, pca_residuals, truncate_subspaces
 from graphsig.synth import make_sbm_dataset
 
 
@@ -246,6 +249,139 @@ def test_grid_search_matches_naive_enumeration(ks, r_maxs):
     assert np.array_equal(yhat_a, yhat_b)
 
 
+def loop_grid_search(dictionary, y, train, val, grids, fused):
+    """The search point by point: per alpha set one fit_ridge and two
+    ridge_scores, per (r_max, eta) point two pca_residuals.  Appends the
+    (R~_pca, R~_ridge, w) of every fuse to ``fused``."""
+    q = fisher_scores(dictionary, train, y)
+    y_tr, y_val = y[train], y[val]
+    classes = np.unique(y_tr)
+    Y = scaffold_module._onehot(y_tr, classes)
+    alpha_sets = tuple(dict.fromkeys(tuple(a) for a in grids.alpha_sets))
+    active = tuple(b.name for b in dictionary.active)
+    best = None
+    seen_k_eff = set()
+    for k in grids.ks:
+        selection = select_top_k(q, k)
+        if selection.k_eff in seen_k_eff:
+            continue
+        seen_k_eff.add(selection.k_eff)
+        F_tr = restrict(dictionary, selection.selected, train)[0]
+        F_val = restrict(dictionary, selection.selected, val)[0]
+        svds = class_svds(F_tr, y_tr)
+        ridges = []
+        for key in alpha_sets:
+            model = fit_ridge(F_tr, Y, key)
+            sigma_ridge = float(np.std(ridge_scores(model, F_tr)))
+            Rr_val = ridge_scores(model, F_val) / (sigma_ridge + EPSILON)
+            ridges.append((key, model, sigma_ridge, Rr_val))
+        seen_ranks = set()
+        for r_max in grids.r_maxs:
+            for eta in grids.etas:
+                subspaces = truncate_subspaces(svds, r_max, eta)
+                ranks = tuple(s.r for s in subspaces)
+                if ranks in seen_ranks:
+                    continue
+                seen_ranks.add(ranks)
+                sigma_pca = float(np.std(pca_residuals(F_tr, subspaces)))
+                Rp_val = pca_residuals(F_val, subspaces) / (sigma_pca + EPSILON)
+                for key, model, sigma_ridge, Rr_val in ridges:
+                    for w in grids.ws:
+                        fused.append((Rp_val, Rr_val, w))
+                        acc = accuracy(fuse(Rp_val, Rr_val, w, classes)[1], y_val)
+                        if best is None or acc > best[0]:
+                            config = HyperConfig(k, r_max, eta, key, w, active)
+                            best = (acc, config, subspaces, model, sigma_pca, sigma_ridge)
+    return best
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_grid_search_equals_the_point_by_point_loop(seed, monkeypatch):
+    g, X, y = make_sbm_dataset(
+        n_per_class=30, n_classes=3, p_within=0.12, p_between=0.05,
+        d=5, shift=0.8, seed=seed,
+    )
+    train, val, test = make_split(y, SplitSpec(train_per_class=10, val_per_class=10, seed=seed))
+    # a one-member class: its subspace has rank 0 at every point
+    y = y.copy()
+    y[test[0]] = 3
+    train = np.sort(np.append(train, test[0]))
+    grids = SearchGrids(
+        # the dictionary is 45 wide: the last two levels clamp to one K_eff
+        ks=(12, 30, 10**4, 10**5),
+        r_maxs=(1, 2, 50),
+        etas=(0.5, 0.9, 0.99),
+        alpha_sets=((0.1, 1.0), (1.0, 10.0), (0.1, 1.0)),
+        ws=(0.3, 0.5, 0.7),
+    )
+    dictionary = build_dictionary(g, X)
+    want_fused = []
+    want_acc, want_config, want_subs, want_model, want_sp, want_sr = loop_grid_search(
+        dictionary, y, train, val, grids, want_fused
+    )
+    got_fused = []
+
+    def recorded(Rp, Rr, w, classes):
+        got_fused.append((Rp, Rr, w))
+        return fuse(Rp, Rr, w, classes)
+
+    monkeypatch.setattr(scaffold_module, "fuse", recorded)
+    config, sc, acc = grid_search(dictionary, y, train, val, grids)
+    # both skip rules ran: fewer points were scored than the grid holds
+    assert len(want_fused) < grids.size()
+    assert len(got_fused) == len(want_fused)
+    for (a_p, a_r, a_w), (b_p, b_r, b_w) in zip(got_fused, want_fused):
+        assert a_w == b_w
+        assert np.array_equal(a_p, b_p)
+        assert np.array_equal(a_r, b_r)
+    assert config == want_config
+    assert acc == want_acc
+    assert sc.sigma_pca == want_sp
+    assert sc.sigma_ridge == want_sr
+    assert sc.subspaces[-1].r == 0
+    for a, b in zip(sc.subspaces, want_subs, strict=True):
+        assert (a.label, a.r, a.energy_fraction) == (b.label, b.r, b.energy_fraction)
+        assert np.array_equal(a.center, b.center)
+        assert np.array_equal(a.basis, b.basis)
+    assert sc.ridge.alphas == want_model.alphas
+    assert sc.ridge.sigmas == want_model.sigmas
+    for a, b in zip(sc.ridge.betas, want_model.betas, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_grid_search_does_each_k_levels_shared_work_once(monkeypatch):
+    g, X, y = make_sbm_dataset(
+        n_per_class=30, n_classes=3, p_within=0.12, p_between=0.05,
+        d=5, shift=0.8, seed=7,
+    )
+    train, val, _ = make_split(y, SplitSpec(train_per_class=10, val_per_class=10, seed=7))
+    calls = collections.Counter()
+    solved = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def spd_solve(G, alpha, Y, solve=ridge_module._spd_solve):
+        solved[alpha] += 1
+        return solve(G, alpha, Y)
+
+    monkeypatch.setattr(scaffold_module, "pca_residuals", counted("pca_residuals", pca_residuals))
+    monkeypatch.setattr(scaffold_module, "fit_ridge", counted("fit_ridge", fit_ridge))
+    monkeypatch.setattr(ridge_module, "_spd_solve", spd_solve)
+    grids = SearchGrids(
+        ks=(10, 30), r_maxs=(1, 2, 5), etas=(0.99,),
+        alpha_sets=((0.1, 1.0), (1.0, 10.0)), ws=(0.5,),
+    )
+    grid_search(build_dictionary(g, X), y, train, val, grids)
+    # per K level: one residual call per row set (train, val), one ridge
+    # fit, and one solve per distinct alpha
+    assert calls == {"pca_residuals": 2 * 2, "fit_ridge": 2}
+    assert solved == {0.1: 2, 1.0: 2, 10.0: 2}
+
+
 @pytest.mark.parametrize("fisher_mode", ["train", "train+val"])
 def test_grid_search_scaffold_equals_fit_at_its_config(fisher_mode):
     g, X, y = make_sbm_dataset(
@@ -358,9 +494,11 @@ def test_fit_scores_each_training_row_once_per_branch(monkeypatch):
             return fn(*args)
         return wrapper
 
-    # pca_residuals(F, subspaces), ridge_scores(model, F)
+    # pca_residuals(F, subspaces), scores_from_cross(model, F F_tr^T)
     monkeypatch.setattr(scaffold_module, "pca_residuals", counted("pca_residuals", pca_residuals, 0))
-    monkeypatch.setattr(scaffold_module, "ridge_scores", counted("ridge_scores", ridge_scores, 1))
+    monkeypatch.setattr(
+        scaffold_module, "scores_from_cross", counted("ridge_scores", scores_from_cross, 1)
+    )
     fit(g, X, y, train, HyperConfig(k=10, r_max=2, eta=0.9, alphas=(1.0,), w=0.5))
     assert rows == {"pca_residuals": len(train), "ridge_scores": len(train)}
 

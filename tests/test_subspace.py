@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from graphsig.subspace import (
+    ClassSubspace,
+    _fix_signs,
     class_svds,
     fit_class_subspaces,
     pca_residuals,
@@ -222,6 +224,60 @@ def test_residuals_equal_the_centered_copy_form(data, r_max, eta):
     subs = fit_class_subspaces(F_tr, y_tr, r_max, eta)
     for rows in (F, F_tr, np.asfortranarray(F_tr)):
         assert np.array_equal(pca_residuals(rows, subs), centered_copy_residuals(rows, subs))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    class_matrices(),
+    st.lists(
+        st.tuples(st.integers(1, 6), st.sampled_from((0.5, 0.9, 0.99, 1.0))),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_one_call_over_many_truncations_equals_one_call_each(data, points):
+    F_tr, y_tr, F = data
+    svds = class_svds(F_tr, y_tr)
+    truncations = [truncate_subspaces(svds, r_max, eta) for r_max, eta in points]
+    for subs in truncations:
+        for sub in subs:
+            # the basis is the leading slice of one sign-fixed basis: the
+            # sign fix of a fresh SVD truncated to r first
+            members = F_tr[y_tr == sub.label]
+            Vt = np.linalg.svd(members - sub.center, full_matrices=False)[2]
+            if sub.r:
+                assert np.array_equal(sub.basis, _fix_signs(Vt[: sub.r].T))
+    concat = [sub for subs in truncations for sub in subs]
+    for rows in (F, F_tr):
+        want = np.hstack([pca_residuals(rows, subs) for subs in truncations])
+        assert np.array_equal(pca_residuals(rows, concat), want)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_subspaces_sharing_a_center_are_scored_by_their_own_bases(K, seed):
+    # one center object, one label and one rank: only the basis memory
+    # tells the subspaces apart, and it includes the strides (Q[:, :2] and
+    # Q[:, ::2] share a data pointer and a shape)
+    rng = np.random.default_rng(seed)
+    center = rng.standard_normal(K)
+    Q = np.linalg.qr(rng.standard_normal((K, K)))[0]
+    bases = [Q[:, :1], Q[:, 1:2], Q[:, :1].copy(), Q[:, :1]]
+    if K >= 4:
+        bases += [Q[:, :2], Q[:, ::2][:, :2], Q[:, 2:4]]
+    subs = [
+        ClassSubspace(
+            label=0, center=center, basis=b, r=b.shape[1], energy_fraction=1.0, n_members=K
+        )
+        for b in bases
+    ]
+    F = rng.standard_normal((5, K)) + 3.0 * center
+    R = pca_residuals(F, subs)
+    assert np.array_equal(R, centered_copy_residuals(F, subs))
+    assert not np.array_equal(R[:, 0], R[:, 1])
+    if K >= 4:
+        assert not np.array_equal(R[:, 4], R[:, 5])
+        assert not np.array_equal(R[:, 4], R[:, 6])
 
 
 @pytest.mark.parametrize("K", [300, 3000])
