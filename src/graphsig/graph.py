@@ -1,9 +1,11 @@
 """Sparse undirected graphs and normalized propagation operators.
 
-A graph is held as a symmetric 0/1 adjacency in CSR form together with
-its degree vector.  Two propagation operators are derived from it: the
-row-normalized transition matrix (each row of a non-isolated node sums
-to one) and the symmetric-normalized matrix with entries
+A graph is its clean edge array together with its degree vector; both
+are numpy arrays.  The symmetric 0/1 CSR adjacency is derived from the
+edges when an operator asks for it, so building, loading and editing a
+graph never import scipy.  Two propagation operators are derived from
+it: the row-normalized transition matrix (each row of a non-isolated
+node sums to one) and the symmetric-normalized matrix with entries
 1/sqrt(d_i d_j) on edges.  Isolated nodes get all-zero rows in both, so
 every propagated signal stays finite.
 """
@@ -11,12 +13,11 @@ every propagated signal stays finite.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
 class SparseGraph:
-    """Undirected graph: node count, sorted edge array, CSR adjacency, degrees.
+    """Undirected graph: node count, sorted edge array, degrees.
 
     ``edges`` is an (m, 2) int array with u < v per row, lexicographically
     sorted, no duplicates, no self-loops.  ``degree[i]`` is the neighbor
@@ -25,12 +26,22 @@ class SparseGraph:
 
     n: int
     edges: np.ndarray
-    adj: sp.csr_matrix
     degree: np.ndarray
 
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
+
+    @property
+    def adj(self):
+        """The symmetric 0/1 adjacency as a scipy CSR matrix, built on
+        each access (the operators read it once each)."""
+        import scipy.sparse as sp
+
+        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+        data = np.ones(2 * self.n_edges, dtype=np.float64)
+        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
 
 def build_graph(n: int, edge_list) -> SparseGraph:
@@ -57,17 +68,8 @@ def build_graph(n: int, edge_list) -> SparseGraph:
     # u * n + v orders pairs as (u, v) does, since v < n
     keys = np.unique(lo[keep] * n + hi[keep])
     edges = np.stack([keys // n, keys % n], axis=1)
-    return _from_clean_edges(n, edges)
-
-
-def _from_clean_edges(n: int, edges: np.ndarray) -> SparseGraph:
-    m = edges.shape[0]
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    data = np.ones(2 * m, dtype=np.float64)
-    adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    degree = np.asarray(adj.sum(axis=1)).ravel().astype(np.int64)
-    return SparseGraph(n=n, edges=edges, adj=adj, degree=degree)
+    degree = np.bincount(edges.ravel(), minlength=n).astype(np.int64, copy=False)
+    return SparseGraph(n=n, edges=edges, degree=degree)
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class PropagationOperator:
     """Normalized propagation operator, kind 'row' or 'sym'."""
 
     kind: str
-    matrix: sp.csr_matrix
+    matrix: "scipy.sparse.csr_matrix"
 
 
 def _inv_degree(degree: np.ndarray) -> np.ndarray:
@@ -88,6 +90,8 @@ def _inv_degree(degree: np.ndarray) -> np.ndarray:
 
 def row_operator(g: SparseGraph) -> PropagationOperator:
     """Row-normalized transition matrix D^-1 A (zero rows for isolated nodes)."""
+    import scipy.sparse as sp
+
     inv = _inv_degree(g.degree)
     mat = sp.diags(inv).dot(g.adj).tocsr()
     return PropagationOperator(kind="row", matrix=mat)
@@ -95,6 +99,8 @@ def row_operator(g: SparseGraph) -> PropagationOperator:
 
 def sym_operator(g: SparseGraph) -> PropagationOperator:
     """Symmetric-normalized matrix D^-1/2 A D^-1/2."""
+    import scipy.sparse as sp
+
     inv_sqrt = np.sqrt(_inv_degree(g.degree))
     d = sp.diags(inv_sqrt)
     mat = d.dot(g.adj).dot(d).tocsr()

@@ -248,16 +248,37 @@ def _cell(v):
     return v  # csv writes None as an empty field
 
 
+def _format_column(cells):
+    """One column's fields as ``_cell`` gives them, in one pass over a
+    column of floats and Nones."""
+    kinds = set(map(type, cells))
+    floats = {k for k in kinds if issubclass(k, float)}
+    if not floats:
+        return cells  # nothing to format; csv writes None as an empty field
+    if kinds - floats - {type(None)}:
+        return [_cell(v) for v in cells]  # floats mixed with ints or strings
+    values = np.array(cells, dtype=np.float64)  # None reads as nan
+    fields = list(map("{:.10g}".format, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        fields[i] = ""
+    return fields
+
+
 def write_csv(path, header, rows, meta=None) -> None:
     """The one CSV writer: the '# k=v' meta line (when given), the header,
     then the rows.  Floats print as %.10g; None and non-finite floats are
-    empty fields; every line ends in LF."""
+    empty fields; every line ends in LF.  Each row must have one field
+    per header name, since the fields are formatted column by column."""
+    rows = list(rows)
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {i} has {len(row)} fields, the header {len(header)}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if meta:
             fh.write("# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)) + "\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows([_cell(v) for v in row] for row in rows)
+        w.writerows(zip(*map(_format_column, zip(*rows))))
 
 
 def jsonable(obj):

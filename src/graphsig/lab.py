@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, stdtr, stdtrit
 
 from .dictionary import BLOCK_NAMES, BLOCKS
 from .graph import build_graph
@@ -285,11 +284,17 @@ def wilcoxon_signed_rank(deltas, exact_limit: int = 20):
     elif num < 0:
         num += 0.5
     z = num / math.sqrt(var) if var > 0 else 0.0
+    from scipy.special import ndtr
+
     return w_plus, min(1.0, 2.0 * float(ndtr(-abs(z)))), "normal"
 
 
 def paired_stats(deltas) -> PairedResult:
     """Full paired comparison summary of a vector of differences."""
+    # scipy.special (not scipy.stats) gives the t distribution; imported
+    # here so that only the verbs that compare runs load it
+    from scipy.special import stdtr, stdtrit
+
     d = np.asarray(deltas, dtype=np.float64)
     n = len(d)
     if n < 2:

@@ -14,7 +14,6 @@ over the alpha set, so that smaller is better like the PCA residual.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .conventions import EPSILON
 
@@ -29,6 +28,8 @@ class RidgeModel:
 
 
 def _spd_solve(G: np.ndarray, alpha: float, Y: np.ndarray) -> np.ndarray:
+    import scipy.linalg  # here, not at the top: importing graphsig stays numpy-only
+
     A = G + alpha * np.eye(G.shape[0])
     try:
         cho = scipy.linalg.cho_factor(A, lower=True, check_finite=False)

@@ -125,6 +125,53 @@ def test_propagate_matches_dense():
             assert np.allclose(propagate(op, X), dense, atol=1e-12)
 
 
+def eager_adjacency(g):
+    """The adjacency and degrees as build_graph once built them, eagerly:
+    a CSR matrix straight from the clean edges, degrees as its row sums."""
+    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    data = np.ones(2 * g.n_edges, dtype=np.float64)
+    adj = sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+    return adj, np.asarray(adj.sum(axis=1)).ravel().astype(np.int64)
+
+
+def same_csr(a, b):
+    return all(np.array_equal(getattr(a, part), getattr(b, part)) for part in ("indptr", "indices", "data"))
+
+
+@st.composite
+def valid_edge_lists(draw):
+    """Edge lists over [0, n) with duplicates, self-loops, both orientations
+    and, through the extra ids no edge names, isolated nodes."""
+    used = draw(st.integers(1, 25))
+    n = used + draw(st.integers(0, 3))
+    ids = st.integers(0, used - 1)
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=60))
+    return n, edges + [(v, u) for u, v in edges[: draw(st.integers(0, len(edges)))]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(valid_edge_lists(), st.integers(0, 2**32 - 1))
+def test_graph_on_demand_equals_the_eager_csr_build(case, seed):
+    n, edge_list = case
+    g = build_graph(n, edge_list)
+    adj, degree = eager_adjacency(g)
+    assert g.degree.dtype == np.int64
+    assert np.array_equal(g.degree, degree)
+    assert np.array_equal(g.degree, np.asarray(g.adj.sum(axis=1)).ravel())
+    assert same_csr(g.adj, adj)
+    inv = np.zeros(n)
+    inv[degree > 0] = 1.0 / degree[degree > 0]
+    d = sp.diags(np.sqrt(inv))
+    X = np.random.default_rng(seed).standard_normal((n, 3))
+    for op, want in (
+        (row_operator(g), sp.diags(inv).dot(adj).tocsr()),
+        (sym_operator(g), d.dot(adj).dot(d).tocsr()),
+    ):
+        assert same_csr(op.matrix, want)
+        assert np.array_equal(propagate(op, X), np.asarray(want.dot(X)))
+
+
 def test_propagate_shape_check():
     g = build_graph(3, [(0, 1)])
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import filecmp
 import functools
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from graphsig.io import (
     save_features_csv,
     save_labels,
     save_snapshot,
+    write_csv,
 )
 from graphsig.scaffold import (
     HyperConfig,
@@ -224,6 +226,67 @@ def test_jsonable_handles_special_values():
     assert out["np_int"] == 3
     assert out["np_arr"] == [1.5, 2.5]
     json.dumps(out)  # strictly serializable
+
+
+def cell_by_cell_csv(path, header, rows, meta=None):
+    """write_csv as it was: each cell through its own formatting call."""
+
+    def cell(v):
+        if isinstance(v, float):
+            return f"{v:.10g}" if math.isfinite(v) else ""
+        return v
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if meta:
+            fh.write("# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)) + "\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([cell(v) for v in row] for row in rows)
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 123456789012.5)
+CSV_CELLS = {
+    "float": st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
+    "np.float64": st.floats().map(np.float64),
+    "int": st.integers(-(10**12), 10**12),
+    "none": st.none(),
+    "bool": st.booleans(),
+    "text": st.text(",\"ab 1", max_size=4),
+}
+COLUMN_KINDS = [("float",), ("np.float64",), ("float", "none"), ("float", "np.float64", "none"),
+                ("int",), ("int", "none"), ("float", "int"), ("text",), tuple(CSV_CELLS)]
+
+
+@st.composite
+def csv_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=5))
+    n_rows = draw(st.integers(0, 12))
+    columns = [
+        draw(st.lists(st.one_of(*(CSV_CELLS[k] for k in kind)), min_size=n_rows, max_size=n_rows))
+        for kind in kinds
+    ]
+    return [f"c{j}" for j in range(len(kinds))], [list(row) for row in zip(*columns)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(csv_tables(), st.booleans())
+def test_write_csv_equals_the_cell_by_cell_writer(table, with_meta):
+    header, rows = table
+    meta = {"b": "x", "a": 1} if with_meta else None
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        write_csv(got, header, iter(rows), meta)
+        cell_by_cell_csv(want, header, rows, meta)
+        assert filecmp.cmp(got, want, shallow=False)
+
+
+def test_write_csv_special_values(tmp_path):
+    path = tmp_path / "special.csv"
+    rows = [[-0.0, 7, None, 0.1], [math.nan, -3, None, None], [math.inf, 10**12, "x", -math.inf]]
+    write_csv(path, ["f", "i", "m", "g"], rows)
+    assert path.read_text() == "f,i,m,g\n-0,7,,0.1\n,-3,,\n,1000000000000,x,\n"
+    with pytest.raises(ValueError, match=r"row 1 has 3 fields, the header 4"):
+        write_csv(path, ["f", "i", "m", "g"], [rows[0], rows[1][:3]])
 
 
 # ------------------------------------------------------------------ snapshots
@@ -946,3 +1009,45 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
     assert "graphsig.cli" in loaded
     heavy = ("scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.interpolate", "scipy.ndimage")
     assert [m for m in loaded if ".".join(m.split(".")[:2]) in heavy] == []
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {}
+import graphsig
+seen["import graphsig"] = scipy_modules()
+import graphsig.cli
+seen["import graphsig.cli"] = scipy_modules()
+edges, features, out = sys.argv[1:]
+for method in ("knn", "rewire"):
+    argv = ["prototype", "--edges", edges, "--features", features, "--method", method, "--out", out + method]
+    seen["prototype " + method] = scipy_modules() if graphsig.cli.main(argv) == 0 else "failed"
+# the p-values come from scipy.special, whose import stays out of scipy.stats
+rc = graphsig.cli.main(["paired", "--deltas", "1,2,-0.5", "--out", out + "paired"])
+seen["paired, scipy.stats"] = [m for m in scipy_modules() if m.startswith("scipy.stats")] if rc == 0 else "failed"
+print(json.dumps(seen))
+"""
+
+
+def test_start_up_and_the_prototype_verbs_load_no_scipy(disk_dataset, tmp_path):
+    # scipy is imported only by the functions that propagate, solve or
+    # compute a p-value; a fresh interpreter, since this one has run them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphsig.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    argv = [disk_dataset["edges"], disk_dataset["features"], str(tmp_path / "proto-")]
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, *argv], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out.splitlines()[-1]) == {
+        "import graphsig": [],
+        "import graphsig.cli": [],
+        "prototype knn": [],
+        "prototype rewire": [],
+        "paired, scipy.stats": [],
+    }
