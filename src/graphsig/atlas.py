@@ -29,6 +29,7 @@ import numpy as np
 from .conventions import conventions
 from .dictionary import BLOCK_NAMES, BLOCKS, FAMILIES, family_blocks
 from .fisher import restrict
+from .graph import node_ids
 from .io import write_csv, write_json
 from .scaffold import predict
 
@@ -128,7 +129,8 @@ def _margins(R, y_pos):
 
 
 def node_atlas(scaffold, eval_idx, y, degree=None, scores=None) -> NodeAtlas:
-    """The atlas of the eval nodes, one row per entry of eval_idx.
+    """The atlas of the eval nodes, one row per entry of eval_idx, which is
+    checked by ``graph.node_ids`` with labels ``y`` before anything is read.
 
     ``degree`` is the full-graph per-node degree vector (pass g.degree);
     omitted degrees are recorded as 0.  ``scores`` is what
@@ -137,7 +139,7 @@ def node_atlas(scaffold, eval_idx, y, degree=None, scores=None) -> NodeAtlas:
     Every column is computed for all eval nodes at once, one block or
     family at a time; a block's evidence reads its own selected columns.
     """
-    eval_idx = np.asarray(eval_idx, dtype=np.int64)
+    eval_idx = node_ids(eval_idx, scaffold.dictionary.n, labels=y)
     labels = np.asarray(y)[eval_idx].astype(np.int64)
     yhat, _, Rp, Rr = predict(scaffold, scaffold.rows(eval_idx)) if scores is None else scores
     pred = yhat.astype(np.int64)

@@ -34,7 +34,7 @@ from .io import (
     write_csv,
     write_json,
 )
-from .graph import save_edge_list
+from .graph import node_ids, save_edge_list
 from .lab import (
     VARIANTS,
     ablation_table,
@@ -412,19 +412,13 @@ def _atlas_like(args):
         if key is None:
             eval_idx = scaffold.train_idx
         elif key in extra:
-            eval_idx = np.asarray(extra[key], dtype=np.int64)
+            eval_idx = np.asarray(extra[key])
         else:
             raise ValueError(f"snapshot lacks {key}; pass --eval-nodes with explicit ids")
     if eval_idx.size == 0:
         where = args.eval_nodes or f"the snapshot's {args.eval} split"
         raise ValueError(f"empty eval set: {where} holds no node ids")
-    n = bundle.graph.n
-    outside = eval_idx[(eval_idx < 0) | (eval_idx >= n)]
-    if outside.size:
-        raise ValueError(f"eval node id {outside[0]} outside [0, {n})")
-    unlabeled = eval_idx[bundle.y[eval_idx] < 0]
-    if unlabeled.size:
-        raise ValueError(f"eval node {unlabeled[0]} has no label")
+    eval_idx = node_ids(eval_idx, bundle.graph.n, "eval", bundle.y)
 
     yield "atlas"
     # the run that wrote the snapshot stamped its provenance into extra

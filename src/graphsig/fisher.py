@@ -18,6 +18,7 @@ import numpy as np
 
 from .conventions import EPSILON
 from .dictionary import BLOCKS, SignalDictionary
+from .graph import node_ids
 
 
 @dataclass(frozen=True)
@@ -29,12 +30,13 @@ class FisherSelection:
 
 
 def fisher_scores(dictionary, train_idx, y, epsilon: float = EPSILON) -> np.ndarray:
-    """Fisher score per dictionary coordinate, from training nodes only."""
+    """Fisher score per dictionary coordinate, from training nodes only:
+    ``train_idx`` is nonempty and passes ``graph.node_ids`` with labels ``y``."""
     F0 = dictionary.F0 if isinstance(dictionary, SignalDictionary) else np.asarray(dictionary)
-    train_idx = np.asarray(train_idx, dtype=np.int64)
+    y = np.asarray(y)
+    train_idx = node_ids(train_idx, F0.shape[0], labels=y)
     if train_idx.size == 0:
         raise ValueError("train_idx must be nonempty")
-    y = np.asarray(y)
     F_tr = F0[train_idx]
     y_tr = y[train_idx]
 
@@ -72,13 +74,11 @@ def restrict(dictionary: SignalDictionary, selected, rows) -> tuple:
 
     Returns (F, blocks): F is F0[rows][:, selected], C-ordered, and
     blocks[t] is the BlockId of selected coordinate t, in selection order.
-    A node id outside [0, n) fails rather than wrapping around.
+    ``rows`` pass ``graph.node_ids``: a boolean mask, float ids or an id
+    outside [0, n) fails rather than being read as another node.
     """
     selected = np.asarray(selected, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
-    outside = rows[(rows < 0) | (rows >= dictionary.n)]
-    if outside.size:
-        raise ValueError(f"node id {outside[0]} outside [0, {dictionary.n})")
+    rows = node_ids(rows, dictionary.n)
     F = dictionary.F0[np.ix_(rows, selected)]
     blocks = tuple(BLOCKS[b] for b in dictionary.coord_block[selected].tolist())
     return F, blocks

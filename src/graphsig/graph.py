@@ -72,49 +72,59 @@ def build_graph(n: int, edge_list) -> SparseGraph:
     return SparseGraph(n=n, edges=edges, degree=degree)
 
 
-@dataclass(frozen=True)
-class PropagationOperator:
-    """Normalized propagation operator, kind 'row' or 'sym'."""
+def node_ids(idx, n: int, role: str = "", labels=None) -> np.ndarray:
+    """``idx`` as int64 node ids of an n-node graph: the one node-id check.
 
-    kind: str
-    matrix: "scipy.sparse.csr_matrix"
+    A nonempty ``idx`` must be integer-typed (a boolean mask or float ids
+    would read other nodes) with every id in [0, n) (-1 would wrap to node
+    n - 1).  Given ``labels`` (a class id per node, -1 where unknown), each
+    id must be labeled.  ``role`` ("train", "eval", ...) prefixes messages.
+    """
+    where = f"{role} " if role else ""
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"{where}node ids must be integers, got dtype {idx.dtype}")
+    outside = idx[(idx < 0) | (idx >= n)]
+    if outside.size:
+        raise ValueError(f"{where}node id {outside[0]} outside [0, {n})")
+    idx = idx.astype(np.int64, copy=False)
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape[0] != n:
+            whose = f"{role}: " if role else ""
+            raise ValueError(f"{whose}{labels.shape[0]} labels for a graph of {n} nodes")
+        unlabeled = idx[labels[idx] < 0]
+        if unlabeled.size:
+            raise ValueError(f"{where}node {unlabeled[0]} has no label")
+    return idx
 
 
 def _inv_degree(degree: np.ndarray) -> np.ndarray:
     # isolated nodes: 1/d := 0, giving zero operator rows
-    inv = np.zeros(degree.shape[0], dtype=np.float64)
-    nz = degree > 0
-    inv[nz] = 1.0 / degree[nz]
-    return inv
+    return np.divide(1.0, degree, out=np.zeros(degree.shape[0]), where=degree > 0)
 
 
-def row_operator(g: SparseGraph) -> PropagationOperator:
-    """Row-normalized transition matrix D^-1 A (zero rows for isolated nodes)."""
+def row_operator(g: SparseGraph):
+    """Row-normalized transition matrix D^-1 A as CSR (isolated nodes: zero rows)."""
     import scipy.sparse as sp
 
-    inv = _inv_degree(g.degree)
-    mat = sp.diags(inv).dot(g.adj).tocsr()
-    return PropagationOperator(kind="row", matrix=mat)
+    return sp.diags(_inv_degree(g.degree)).dot(g.adj).tocsr()
 
 
-def sym_operator(g: SparseGraph) -> PropagationOperator:
-    """Symmetric-normalized matrix D^-1/2 A D^-1/2."""
+def sym_operator(g: SparseGraph):
+    """Symmetric-normalized matrix D^-1/2 A D^-1/2, as a scipy CSR matrix."""
     import scipy.sparse as sp
 
-    inv_sqrt = np.sqrt(_inv_degree(g.degree))
-    d = sp.diags(inv_sqrt)
-    mat = d.dot(g.adj).dot(d).tocsr()
-    return PropagationOperator(kind="sym", matrix=mat)
+    d = sp.diags(np.sqrt(_inv_degree(g.degree)))
+    return d.dot(g.adj).dot(d).tocsr()
 
 
-def propagate(op: PropagationOperator, X: np.ndarray) -> np.ndarray:
-    """Sparse-dense product op @ X; apply repeatedly for operator powers."""
+def propagate(P, X: np.ndarray) -> np.ndarray:
+    """Sparse-dense product P @ X; apply repeatedly for operator powers."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != op.matrix.shape[1]:
-        raise ValueError(
-            f"shape mismatch: operator is {op.matrix.shape}, signal is {X.shape}"
-        )
-    return np.asarray(op.matrix.dot(X))
+    if X.ndim != 2 or X.shape[0] != P.shape[1]:
+        raise ValueError(f"shape mismatch: operator is {P.shape}, signal is {X.shape}")
+    return np.asarray(P.dot(X))
 
 
 def load_edge_list(path, n_nodes=None) -> list:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .conventions import PACKAGE_VERSION, conventions
 from .dictionary import BLOCK_NAMES
-from .graph import build_graph, load_edge_list
+from .graph import build_graph, load_edge_list, node_ids
 from .scaffold import FittedScaffold, HyperConfig, SearchGrids, SplitSpec, fit
 
 FEATURE_MAGIC = b"GSF1"
@@ -344,11 +344,13 @@ def load_snapshot(path, g, X) -> FittedScaffold:
     The result is ``fit`` on the recorded inputs, so on the same build it
     equals the scaffold that was saved, bit for bit.  The snapshot's
     ``extra`` dict (empty when absent) comes back as the scaffold's
-    ``extra``, so callers need not parse the file again.
+    ``extra``, so callers need not parse the file again.  A file that is
+    not a snapshot object, lacks a key or config field, or whose train or
+    Fisher rows fail ``graph.node_ids`` with its labels fails, naming ``path``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("kind") != "fitted-scaffold":
+    if not isinstance(payload, dict) or payload.get("kind") != "fitted-scaffold":
         raise ValueError(f"{path}: not a scaffold snapshot")
     version = payload.get("format_version", 0)
     if version > SNAPSHOT_VERSION:
@@ -360,23 +362,19 @@ def load_snapshot(path, g, X) -> FittedScaffold:
             f"{path}: format version {version} is older than supported "
             f"{SNAPSHOT_VERSION}: re-run `graphsig run`"
         )
-    labels = np.asarray(payload["labels"], dtype=np.int64)
-    if labels.shape[0] != g.n:
-        raise ValueError(f"{path}: {labels.shape[0]} labels for a graph of {g.n} nodes")
-    train_idx = np.asarray(payload["train_idx"], dtype=np.int64)
-    fisher_idx = np.asarray(payload["fisher_idx"], dtype=np.int64)
-    for key, idx in (("train_idx", train_idx), ("fisher_idx", fisher_idx)):
-        outside = idx[(idx < 0) | (idx >= g.n)]
-        if outside.size:
-            raise ValueError(f"{path}: {key} node id {outside[0]} outside [0, {g.n})")
-        unlabeled = idx[labels[idx] < 0]
-        if unlabeled.size:
-            raise ValueError(f"{path}: {key} node {unlabeled[0]} has no label")
-    config = HyperConfig.from_dict(payload["config"])
+    try:
+        config = HyperConfig.from_dict(payload["config"])
+        keys = ("labels", "train_idx", "fisher_idx", "n_coordinates")
+        labels, train_idx, fisher_idx, width = (payload[key] for key in keys)
+    except KeyError as err:
+        raise ValueError(f"{path}: snapshot lacks {err}") from None
+    labels = np.asarray(labels, dtype=np.int64)
+    train_idx = node_ids(train_idx, g.n, f"{path}: train_idx", labels)
+    fisher_idx = node_ids(fisher_idx, g.n, f"{path}: fisher_idx", labels)
     scaffold = fit(g, X, labels, train_idx, config, fisher_idx=fisher_idx)
-    if scaffold.n_coordinates != payload["n_coordinates"]:
+    if scaffold.n_coordinates != width:
         raise ValueError(
             f"{path}: dictionary has {scaffold.n_coordinates} coordinates, snapshot "
-            f"was built over {payload['n_coordinates']}"
+            f"was built over {width}"
         )
     return dataclasses.replace(scaffold, extra=payload.get("extra", {}))

@@ -24,6 +24,7 @@ import numpy as np
 from .conventions import EPSILON
 from .dictionary import BLOCK_NAMES, SignalDictionary, build_dictionary
 from .fisher import fisher_scores, restrict, select_top_k
+from .graph import node_ids
 from .ridge import fit_ridge, ridge_scores, scores_from_cross
 from .subspace import class_svds, pca_residuals, truncate_subspaces
 
@@ -276,32 +277,26 @@ def grid_search(
 
     A one-point grid may take an empty ``val``: there is nothing to
     choose, and the val accuracy is then NaN.  An empty grid axis or
-    alpha set, and a train, val or Fisher row outside the graph or
-    without a label, fail.
+    alpha set fails, as do train, val or Fisher rows that fail
+    ``graph.node_ids`` with labels ``y`` (one class id per node, -1 where
+    unknown): a boolean mask is not read as nodes 0 and 1.
 
     Returns (best HyperConfig, FittedScaffold at it, val accuracy).
     """
     y = np.asarray(y)
-    train = np.asarray(train, dtype=np.int64)
-    val = np.asarray(val, dtype=np.int64)
     for axis in ("ks", "r_maxs", "etas", "alpha_sets", "ws"):
         if not getattr(grids, axis):
             raise ValueError(f"grid axis {axis} is empty")
     if not all(grids.alpha_sets):
         raise ValueError("grid axis alpha_sets holds an empty alpha set")
+    train = node_ids(train, dictionary.n, "train", y)
+    val = node_ids(val, dictionary.n, "val", y)
+    fisher_idx = train if fisher_idx is None else node_ids(fisher_idx, dictionary.n, "Fisher", y)
     if val.size == 0 and grids.size() > 1:
         raise ValueError("validation set must be nonempty")
     for w in grids.ws:
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"w must be in [0, 1], got {w}")
-    fisher_idx = train if fisher_idx is None else np.asarray(fisher_idx, dtype=np.int64)
-    for name, idx in (("train", train), ("val", val), ("Fisher", fisher_idx)):
-        outside = idx[(idx < 0) | (idx >= dictionary.n)]
-        if outside.size:  # the Fisher rows are read without restrict
-            raise ValueError(f"{name} node id {outside[0]} outside [0, {dictionary.n})")
-        unlabeled = idx[y[idx] < 0]
-        if unlabeled.size:
-            raise ValueError(f"{name} node {unlabeled[0]} has no label")
     q = fisher_scores(dictionary, fisher_idx, y)
     y_tr = y[train]
     y_val = y[val]

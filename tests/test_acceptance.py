@@ -64,8 +64,8 @@ def test_A01_operator_suite():
         g = random_graph(rng)
         P = row_operator(g)
         S = sym_operator(g)
-        dense_P = P.matrix.toarray()
-        dense_S = S.matrix.toarray()
+        dense_P = P.toarray()
+        dense_S = S.toarray()
         sums = dense_P.sum(axis=1)
         active = g.degree > 0
         if active.any():

@@ -72,7 +72,7 @@ def test_feature_binary_errors(tmp_path):
     with pytest.raises(ValueError, match="payload"):
         save = str(tmp_path / "ok.bin")
         save_features_binary(save, np.ones((2, 2)))
-        data = open(save, "rb").read()
+        data = (tmp_path / "ok.bin").read_bytes()
         (tmp_path / "trunc.bin").write_bytes(data[:-4])
         load_features(str(tmp_path / "trunc.bin"))
     wrong = tmp_path / "wrong.bin"
@@ -773,8 +773,16 @@ def bare_snapshot(disk_dataset, tmp_path_factory):
         ),
         (lambda s: dict(s, fisher_idx=[-1]), r"fisher_idx node id -1 outside \[0, 50\)"),
         (lambda s: dict(s, n_coordinates=7), "dictionary has 45 coordinates"),
+        (lambda s: [s], r"bad\.json: not a scaffold snapshot$"),
+        (lambda s: {k: v for k, v in s.items() if k != "config"},
+         r"bad\.json: snapshot lacks 'config'$"),
+        (lambda s: {k: v for k, v in s.items() if k != "fisher_idx"},
+         r"bad\.json: snapshot lacks 'fisher_idx'$"),
+        (lambda s: dict(s, config={k: v for k, v in s["config"].items() if k != "alphas"}),
+         r"bad\.json: snapshot lacks 'alphas'$"),
     ],
-    ids=["v1", "labels-length", "unlabeled-train-row", "negative-fisher-row", "width"],
+    ids=["v1", "labels-length", "unlabeled-train-row", "negative-fisher-row", "width",
+         "not-an-object", "no-config", "no-fisher-rows", "no-config-alphas"],
 )
 def test_snapshot_rejects_inputs_that_do_not_fit(edit, match, bare_snapshot, disk_dataset, tmp_path):
     with open(bare_snapshot) as fh:
