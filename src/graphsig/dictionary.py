@@ -9,13 +9,18 @@ block is then row-L2 normalized independently and the active blocks are
 placed side by side.  Each output coordinate remembers which block
 it came from, which is what the downstream evidence decomposition runs
 on.
+
+The dictionary is held as its recipe: the powers the active blocks name
+and one row scale per block.  The n x p matrix is never formed; a gather
+computes just the entries it returns, each by the same floating-point
+operations the whole matrix would have taken.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SparseGraph, propagate, row_operator, sym_operator
+from .graph import SparseGraph, checked_ids, node_ids, propagate, row_operator, sym_operator
 
 
 @dataclass(frozen=True)
@@ -60,41 +65,103 @@ def family_blocks(family: str, active=BLOCKS) -> tuple:
 
 @dataclass(frozen=True)
 class SignalDictionary:
-    """Concatenated, block-normalized signal matrix with coordinate metadata.
+    """The block-normalized signal matrix F0, held as its recipe.
 
-    F0 is n x p with p = len(active) * d.  coord_block[j] is the block
+    F0 is n x p with p = len(active) * d; its columns [k*d, (k+1)*d) are
+    block ``active[k]``, entry (i, j) being ``(a[i, j'] - b[i, j']) *
+    scale[i, k]`` with j' = j - k*d, where ``terms[k]`` is ``(a, b)`` for a
+    difference block and ``(a,)`` (no subtraction) for a power.  The n x d
+    power arrays are shared between blocks, and like ``scale`` they are
+    read-only and owned by the dictionary.  coord_block[j] is the block
     index (0..8) owning column j; columns of one block are contiguous and
     ordered by block index.
     """
 
-    F0: np.ndarray
+    terms: tuple
+    scale: np.ndarray  # (n, len(active)): 1 / row norm of each block, 0 for zero rows
     coord_block: np.ndarray
     d: int
     active: tuple
 
     @property
     def n(self) -> int:
-        return self.F0.shape[0]
+        return self.scale.shape[0]
 
     @property
     def p(self) -> int:
-        return self.F0.shape[1]
+        return len(self.active) * self.d
+
+    def gather(self, rows, cols) -> np.ndarray:
+        """F0[np.ix_(rows, cols)], C-ordered, computing only those entries.
+
+        ``rows`` pass ``graph.node_ids``; ``cols`` must be integer
+        coordinates in [0, p).  Each block's columns are written straight
+        into the output, so no block-sized temporary outlives its block.
+        """
+        rows = node_ids(rows, self.n)
+        cols = checked_ids(cols, self.p, "coordinate")
+        out = np.empty((rows.size, cols.size))
+        pos = cols // self.d
+        for k in np.unique(pos).tolist():
+            at = np.flatnonzero(pos == k)
+            c = cols[at] - k * self.d
+            # a whole block reads whole rows: several times cheaper than np.ix_
+            whole = c.size == self.d and bool(np.all(np.diff(c) == 1))
+            ix = (rows,) if whole else np.ix_(rows, c)
+            a, *b = self.terms[k]
+            v = a[ix]
+            if b:
+                np.subtract(v, b[0][ix], out=v)
+            s = self.scale[rows, k][:, None]
+            if at[-1] - at[0] + 1 == at.size:  # a column run: sorted selections
+                np.multiply(v, s, out=out[:, at[0] : at[-1] + 1])
+            else:
+                out[:, at] = np.multiply(v, s, out=v)
+        return out
+
+    @property
+    def F0(self) -> np.ndarray:
+        """The whole n x p matrix, computed on each access.  The pipeline
+        gathers only what it reads; this is for tests and measurement."""
+        return self.gather(np.arange(self.n), np.arange(self.p))
+
+
+def _powers(g: SparseGraph, X: np.ndarray, active: tuple) -> dict:
+    """{(operator, k): P^k X} for just the powers the active recipes name;
+    P^0 X is X itself under both operators.  Each held power is read-only."""
+    power = {}
+    for op, make in _OPERATORS.items():
+        named = {k for b in active if b.operator == op for k in b.powers}
+        if 0 in named:
+            power[op, 0] = X
+        top = max(named, default=0)
+        if top:
+            P = make(g)
+            signal = X
+            for k in range(1, top + 1):
+                signal = propagate(P, signal)
+                if k in named:
+                    signal.flags.writeable = False
+                    power[op, k] = signal
+    return power
 
 
 def build_dictionary(g: SparseGraph, X: np.ndarray, active_blocks=None) -> SignalDictionary:
     """Build the dictionary for the given active block subset (default: all nine).
 
-    Computes each operator power the active blocks' recipes need once, by
-    iterated sparse products, forms difference blocks from the
-    un-normalized powers, and writes each row-normalized block into its
-    column range of F0, in canonical block order.
+    Copies X once, computes each operator power the active blocks'
+    recipes name once, by iterated sparse products, and keeps only those.
+    Each block's row scale comes from its whole un-normalized block (a
+    difference is formed from the un-normalized powers), in canonical
+    block order; no n x p matrix is allocated.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.array(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != g.n:
         raise ValueError(f"features must be (n={g.n}, d), got {X.shape}")
     if not np.all(np.isfinite(X)):
         bad = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"non-finite feature entry at row {bad[0]}, column {bad[1]}")
+    X.flags.writeable = False
 
     if active_blocks is None:
         active = BLOCKS
@@ -106,25 +173,20 @@ def build_dictionary(g: SparseGraph, X: np.ndarray, active_blocks=None) -> Signa
     if not active:
         raise ValueError("active_blocks must be nonempty")
 
-    # each operator power the active recipes name, computed once
-    power = {}
-    for op, make in _OPERATORS.items():
-        power[op, 0] = X
-        top = max((max(b.powers) for b in active if b.operator == op), default=0)
-        if top:
-            P = make(g)
-            for k in range(1, top + 1):
-                power[op, k] = propagate(P, power[op, k - 1])
-
-    d = X.shape[1]
-    F0 = np.empty((g.n, len(active) * d))
-    for pos, b in enumerate(active):
-        terms = [power[b.operator, k] for k in b.powers]
-        block = terms[0] - terms[1] if len(terms) == 2 else terms[0]
+    power = _powers(g, X, active)
+    terms = tuple(tuple(power[b.operator, k] for k in b.powers) for b in active)
+    scale = np.zeros((g.n, len(active)))
+    for k, (a, *b) in enumerate(terms):
         # row-L2 normalize; zero rows stay zero: no epsilon inflation of
-        # no-evidence rows
-        norms = np.linalg.norm(block, axis=1)
-        scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-        np.multiply(block, scale[:, None], out=F0[:, pos * d : (pos + 1) * d])
+        # no-evidence rows.  The squares are np.linalg.norm(block, axis=1)'s
+        # own operations, made in one n x d temporary.
+        sq = a - b[0] if b else a.copy()
+        sq *= sq
+        norms = np.sqrt(np.add.reduce(sq, axis=1))
+        del sq
+        np.divide(1.0, norms, out=scale[:, k], where=norms > 0)
+    scale.flags.writeable = False
+    d = X.shape[1]
     coord_block = np.repeat(np.array([b.index for b in active], dtype=np.int64), d)
-    return SignalDictionary(F0=F0, coord_block=coord_block, d=d, active=active)
+    coord_block.flags.writeable = False
+    return SignalDictionary(terms=terms, scale=scale, coord_block=coord_block, d=d, active=active)

@@ -31,18 +31,25 @@ class FisherSelection:
 
 def fisher_scores(dictionary, train_idx, y, epsilon: float = EPSILON) -> np.ndarray:
     """Fisher score per dictionary coordinate, from training nodes only:
-    ``train_idx`` is nonempty and passes ``graph.node_ids`` with labels ``y``."""
-    F0 = dictionary.F0 if isinstance(dictionary, SignalDictionary) else np.asarray(dictionary)
+    ``train_idx`` is nonempty and passes ``graph.node_ids`` with labels ``y``.
+
+    ``dictionary`` is a SignalDictionary, whose training rows are gathered
+    (every coordinate, no other row), or an explicit n x p matrix."""
     y = np.asarray(y)
-    train_idx = node_ids(train_idx, F0.shape[0], labels=y)
+    if isinstance(dictionary, SignalDictionary):
+        train_idx = node_ids(train_idx, dictionary.n, labels=y)
+        F_tr = dictionary.gather(train_idx, np.arange(dictionary.p))
+    else:
+        F0 = np.asarray(dictionary)
+        train_idx = node_ids(train_idx, F0.shape[0], labels=y)
+        F_tr = F0[train_idx]
     if train_idx.size == 0:
         raise ValueError("train_idx must be nonempty")
-    F_tr = F0[train_idx]
     y_tr = y[train_idx]
 
     mu = F_tr.mean(axis=0)
-    between = np.zeros(F0.shape[1])
-    within = np.zeros(F0.shape[1])
+    between = np.zeros(F_tr.shape[1])
+    within = np.zeros(F_tr.shape[1])
     for c in np.unique(y_tr):
         rows = F_tr[y_tr == c]
         mu_c = rows.mean(axis=0)
@@ -72,13 +79,14 @@ def select_top_k(scores: np.ndarray, k: int) -> FisherSelection:
 def restrict(dictionary: SignalDictionary, selected, rows) -> tuple:
     """Gather of the selected coordinates over the given rows.
 
-    Returns (F, blocks): F is F0[rows][:, selected], C-ordered, and
+    Returns (F, blocks): F is F0[rows][:, selected], C-ordered, computed
+    entry by entry by ``SignalDictionary.gather`` (no n x p matrix), and
     blocks[t] is the BlockId of selected coordinate t, in selection order.
-    ``rows`` pass ``graph.node_ids``: a boolean mask, float ids or an id
-    outside [0, n) fails rather than being read as another node.
+    ``rows`` pass ``graph.node_ids`` and ``selected`` must be integer
+    coordinates in [0, p): a boolean mask, float ids or an id outside the
+    range fails rather than being read as another node or coordinate.
     """
+    F = dictionary.gather(rows, selected)
     selected = np.asarray(selected, dtype=np.int64)
-    rows = node_ids(rows, dictionary.n)
-    F = dictionary.F0[np.ix_(rows, selected)]
     blocks = tuple(BLOCKS[b] for b in dictionary.coord_block[selected].tolist())
     return F, blocks

@@ -72,6 +72,19 @@ def build_graph(n: int, edge_list) -> SparseGraph:
     return SparseGraph(n=n, edges=edges, degree=degree)
 
 
+def checked_ids(idx, n: int, noun: str) -> np.ndarray:
+    """``idx`` as int64 ids in [0, n): a nonempty ``idx`` must be
+    integer-typed (a boolean mask or float ids would read other entries)
+    and -1 may not wrap to n - 1.  ``noun`` names one id in messages."""
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"{noun}s must be integers, got dtype {idx.dtype}")
+    outside = idx[(idx < 0) | (idx >= n)]
+    if outside.size:
+        raise ValueError(f"{noun} {outside[0]} outside [0, {n})")
+    return idx.astype(np.int64, copy=False)
+
+
 def node_ids(idx, n: int, role: str = "", labels=None) -> np.ndarray:
     """``idx`` as int64 node ids of an n-node graph: the one node-id check.
 
@@ -81,13 +94,7 @@ def node_ids(idx, n: int, role: str = "", labels=None) -> np.ndarray:
     id must be labeled.  ``role`` ("train", "eval", ...) prefixes messages.
     """
     where = f"{role} " if role else ""
-    idx = np.asarray(idx)
-    if idx.size and idx.dtype.kind not in "iu":
-        raise ValueError(f"{where}node ids must be integers, got dtype {idx.dtype}")
-    outside = idx[(idx < 0) | (idx >= n)]
-    if outside.size:
-        raise ValueError(f"{where}node id {outside[0]} outside [0, {n})")
-    idx = idx.astype(np.int64, copy=False)
+    idx = checked_ids(idx, n, f"{where}node id")
     if labels is not None:
         labels = np.asarray(labels)
         if labels.shape[0] != n:

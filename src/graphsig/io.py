@@ -345,8 +345,10 @@ def load_snapshot(path, g, X) -> FittedScaffold:
     equals the scaffold that was saved, bit for bit.  The snapshot's
     ``extra`` dict (empty when absent) comes back as the scaffold's
     ``extra``, so callers need not parse the file again.  A file that is
-    not a snapshot object, lacks a key or config field, or whose train or
-    Fisher rows fail ``graph.node_ids`` with its labels fails, naming ``path``.
+    not a snapshot object, lacks a key or config field, holds a config
+    that is not an object or labels that are not integers, or whose train
+    or Fisher rows fail ``graph.node_ids`` with its labels fails, naming
+    ``path``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -363,12 +365,18 @@ def load_snapshot(path, g, X) -> FittedScaffold:
             f"{SNAPSHOT_VERSION}: re-run `graphsig run`"
         )
     try:
-        config = HyperConfig.from_dict(payload["config"])
+        config = payload["config"]
+        if not isinstance(config, dict):
+            raise ValueError(f"{path}: config must be an object, got {type(config).__name__}")
+        config = HyperConfig.from_dict(config)
         keys = ("labels", "train_idx", "fisher_idx", "n_coordinates")
         labels, train_idx, fisher_idx, width = (payload[key] for key in keys)
     except KeyError as err:
         raise ValueError(f"{path}: snapshot lacks {err}") from None
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValueError(f"{path}: labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
     train_idx = node_ids(train_idx, g.n, f"{path}: train_idx", labels)
     fisher_idx = node_ids(fisher_idx, g.n, f"{path}: fisher_idx", labels)
     scaffold = fit(g, X, labels, train_idx, config, fisher_idx=fisher_idx)

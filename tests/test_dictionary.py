@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphsig.dictionary import (
     BLOCK_NAMES,
@@ -12,6 +15,7 @@ from graphsig.dictionary import (
     build_dictionary,
     family_blocks,
 )
+from graphsig.fisher import fisher_scores, restrict
 from graphsig.graph import build_graph, propagate, row_operator, sym_operator
 
 
@@ -163,3 +167,130 @@ def test_duplicate_active_blocks_collapse():
     g, X = small_instance(seed=7)
     D = build_dictionary(g, X, active_blocks=("X", "X", "ProwX"))
     assert D.p == 2 * X.shape[1]
+
+
+# the eager build the dictionary replaced: every block written whole into
+# one n x p matrix; each gather must read bitwise what this holds
+def eager_F0(g, X, active_blocks=None) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    names = BLOCK_NAMES if active_blocks is None else active_blocks
+    active = sorted({block_by_name(name) for name in names}, key=lambda b: b.index)
+    power = {}
+    for op, make in (("row", row_operator), ("sym", sym_operator)):
+        power[op, 0] = X
+        P = make(g)
+        for k in range(1, 4):
+            power[op, k] = propagate(P, power[op, k - 1])
+    d = X.shape[1]
+    F0 = np.empty((g.n, len(active) * d))
+    for pos, b in enumerate(active):
+        terms = [power[b.operator, k] for k in b.powers]
+        block = terms[0] - terms[1] if len(terms) == 2 else terms[0]
+        norms = np.linalg.norm(block, axis=1)
+        scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+        np.multiply(block, scale[:, None], out=F0[:, pos * d : (pos + 1) * d])
+    return F0
+
+
+DIFFERENCE_BLOCKS = tuple(b.name for b in BLOCKS if len(b.powers) == 2)
+
+
+def check_gathers(n, d, names, seed, binary, zero, rows, cols):
+    rng = np.random.default_rng(seed)
+    # node n - 1 is isolated; edges may repeat or be self-loops
+    pairs = rng.integers(0, max(n - 1, 1), size=(2 * n, 2))
+    g = build_graph(n, pairs if n > 1 else [])
+    X = (rng.random((n, d)) < 0.4).astype(float) if binary else rng.standard_normal((n, d))
+    X[zero] = 0.0
+    D = build_dictionary(g, X, names)
+    oracle = eager_F0(g, X, names)
+    for cols in (cols, np.arange(D.p)):  # the drawn columns, then whole blocks
+        F = restrict(D, cols, rows)[0]
+        assert F.flags.c_contiguous
+        assert np.array_equal(F, oracle[np.ix_(rows, cols)])
+    y = rng.integers(0, 3, size=n)
+    idx = rows or [0]
+    assert np.array_equal(fisher_scores(D, idx, y), fisher_scores(oracle, idx, y))
+    assert D.F0.tobytes() == oracle.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gathers_read_the_eager_matrix_bit_for_bit(data):
+    n = data.draw(st.integers(1, 10), label="n")
+    d = data.draw(st.integers(1, 4), label="d")
+    names = data.draw(st.sets(st.sampled_from(BLOCK_NAMES), min_size=1), label="blocks")
+    p = len(names) * d
+    check_gathers(
+        n,
+        d,
+        tuple(names),
+        seed=data.draw(st.integers(0, 2**16), label="seed"),
+        binary=data.draw(st.booleans(), label="binary features"),
+        zero=data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="zero rows"),
+        # unsorted, repeated or empty
+        rows=data.draw(st.lists(st.integers(0, n - 1), max_size=12), label="rows"),
+        cols=data.draw(st.lists(st.integers(0, p - 1), max_size=12), label="cols"),
+    )
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("Prow3X",), DIFFERENCE_BLOCKS, *((name,) for name in DIFFERENCE_BLOCKS)],
+    ids=["Prow3X", "differences", *DIFFERENCE_BLOCKS],
+)
+def test_recipe_subsets_gather_the_eager_matrix(names):
+    p = 3 * len(names)
+    cols = [p - 1, 0, 2, 2, *range(p)]
+    check_gathers(9, 3, names, seed=1, binary=False, zero=[4], rows=[8, 1, 1, 3], cols=cols)
+
+
+def named_powers(D) -> int:
+    """The distinct powers P^k X the active recipes name, X counted once."""
+    return len({(b.operator if k else "", k) for b in D.active for k in b.powers})
+
+
+def held_arrays(D) -> list:
+    distinct = {id(a): a for t in D.terms for a in t}
+    return [*distinct.values(), D.scale, D.coord_block]
+
+
+def test_dictionary_owns_its_arrays_and_they_are_read_only():
+    g, X = small_instance(seed=8)
+    D = build_dictionary(g, X)
+    before = D.F0
+    X[:] = 7.0
+    assert D.F0.tobytes() == before.tobytes()
+    for a in held_arrays(D):
+        assert a.flags.owndata
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
+def test_dictionary_holds_only_the_powers_its_recipes_name():
+    g, X = small_instance(seed=9, n=10, d=3)
+    n, d = X.shape
+    for r in range(1, len(BLOCKS) + 1):
+        for subset in itertools.combinations(BLOCK_NAMES, r):
+            D = build_dictionary(g, X, subset)
+            *powers, scale, _ = held_arrays(D)
+            assert sum(a.nbytes for a in powers) == named_powers(D) * n * d * 8
+            assert scale.nbytes == n * len(D.active) * 8
+    assert len(held_arrays(build_dictionary(g, X, ("Prow3X",)))) == 3
+
+
+def test_build_never_allocates_an_n_by_p_array():
+    n, d = 1000, 64
+    rng = np.random.default_rng(3)
+    g = build_graph(n, rng.integers(0, n - 50, size=(1500, 2)))  # 50 isolated nodes
+    X = rng.standard_normal((n, d))
+    build_dictionary(*small_instance())  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        D = build_dictionary(g, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = named_powers(D) * n * d * 8 + n * len(D.active) * 8
+    assert named_powers(D) == 6
+    assert peak <= held + 2 * n * d * 8 < n * D.p * 8 + held

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from graphsig.dictionary import build_dictionary
 from graphsig.fisher import fisher_scores, restrict, select_top_k
 from graphsig.graph import build_graph
+from graphsig.synth import make_sbm_dataset
 
 
 def naive_fisher(F, train_idx, y, epsilon):
@@ -138,3 +139,21 @@ def test_restrict_rejects_node_ids_outside_the_graph():
     for bad in (-1, D.n):
         with pytest.raises(ValueError, match=rf"^node id {bad} outside \[0, {D.n}\)$"):
             restrict(D, [0, 3], [0, bad])
+
+
+@pytest.mark.parametrize(
+    "cols, match",
+    [
+        ([-1], r"^coordinate -1 outside \[0, 180\)$"),
+        ([180], r"^coordinate 180 outside \[0, 180\)$"),
+        ([True, False], r"^coordinates must be integers, got dtype bool$"),
+        ([0.7, 3.2], r"^coordinates must be integers, got dtype float64$"),
+    ],
+    ids=["negative", "past-the-end", "boolean-mask", "float"],
+)
+def test_restrict_rejects_coordinates_outside_the_dictionary(cols, match):
+    g, X, _ = make_sbm_dataset()
+    D = build_dictionary(g, X)
+    assert D.p == 180
+    with pytest.raises(ValueError, match=match):
+        restrict(D, cols, [0, 1])

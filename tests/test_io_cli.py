@@ -780,9 +780,13 @@ def bare_snapshot(disk_dataset, tmp_path_factory):
          r"bad\.json: snapshot lacks 'fisher_idx'$"),
         (lambda s: dict(s, config={k: v for k, v in s["config"].items() if k != "alphas"}),
          r"bad\.json: snapshot lacks 'alphas'$"),
+        (lambda s: dict(s, labels=[v + 0.7 for v in s["labels"]]),
+         r"bad\.json: labels must be integers, got dtype float64$"),
+        (lambda s: dict(s, config=[1, 2]), r"bad\.json: config must be an object, got list$"),
     ],
     ids=["v1", "labels-length", "unlabeled-train-row", "negative-fisher-row", "width",
-         "not-an-object", "no-config", "no-fisher-rows", "no-config-alphas"],
+         "not-an-object", "no-config", "no-fisher-rows", "no-config-alphas",
+         "non-integer-labels", "config-not-an-object"],
 )
 def test_snapshot_rejects_inputs_that_do_not_fit(edit, match, bare_snapshot, disk_dataset, tmp_path):
     with open(bare_snapshot) as fh:
