@@ -1,11 +1,12 @@
 """Command-line pipeline: run | ablate | prototype | fingerprint | paired | atlas.
 
 Every verb reads plain files, writes only under --out, and is
-deterministic for identical inputs; timing goes to its own file so the
-result files are byte-reproducible.  A verb is a generator that yields
-the name of each stage before running it; ``main`` creates --out and
-turns any failure into one ``graphsig <verb>: stage <stage>: <message>``
-line on stderr with exit status 2.  The thread count honored by the
+deterministic for identical inputs.  A verb is a generator that yields
+the name of each stage before running it.  ``main`` creates --out and
+times each stage; once the verb returns, it writes the seconds to
+``timing.json``, apart from the byte-reproducible results.  A failure
+writes no timing but one ``graphsig <verb>: stage <stage>: <message>``
+line on stderr, with exit status 2.  The thread count honored by the
 BLAS backends comes from GRAPHSIG_NUM_THREADS, applied at package
 import before numpy starts.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from .atlas import dataset_fingerprint, emit_figure_data, node_atlas
 from .conventions import FORMAT_VERSION, PACKAGE_VERSION
-from .dictionary import BLOCK_NAMES
+from .dictionary import block_by_name
 from .io import (
     RunConfig,
     config_hash,
@@ -143,23 +144,20 @@ def _grids(args) -> SearchGrids:
     return SearchGrids(**given)
 
 
-def _blocks(args):
-    names = tuple(t.strip() for t in args.blocks.split(",") if t.strip())
-    for t in names:
-        if t not in BLOCK_NAMES:
-            raise ValueError(f"unknown block {t!r}; known: {', '.join(BLOCK_NAMES)}")
-    return names
-
-
-def _variants(args):
-    if not args.variants:
-        return list(VARIANTS)
-    names = tuple(t.strip() for t in args.variants.split(",") if t.strip())
-    known = tuple(v.name for v in VARIANTS)
-    for t in names:
-        if t not in known:
-            raise ValueError(f"unknown variant {t!r}; known: {', '.join(known)}")
-    return [variant_by_name(t) for t in names]
+def _resolve(text, lookup, kind):
+    """The comma list ``text`` resolved name by name through ``lookup``,
+    in the order given; an unknown name fails with the lookup's message,
+    and a name given twice fails, naming it."""
+    names = [t.strip() for t in text.split(",") if t.strip()]
+    resolved = []
+    for i, name in enumerate(names):
+        try:
+            resolved.append(lookup(name))
+        except KeyError as e:
+            raise ValueError(e.args[0]) from None  # str(KeyError) would quote it
+        if name in names[:i]:
+            raise ValueError(f"{kind} {name!r} given twice")
+    return resolved
 
 
 def _run_config(args, name) -> RunConfig:
@@ -168,7 +166,7 @@ def _run_config(args, name) -> RunConfig:
         split=_split_spec(args),
         repeats=args.repeats,
         grids=_grids(args),
-        active_blocks=_blocks(args),
+        active_blocks=tuple(b.name for b in _resolve(args.blocks, block_by_name, "block")),
         fisher_mode=args.fisher_mode,
         snapshots=getattr(args, "snapshots", _RUN.snapshots),
     )
@@ -194,19 +192,13 @@ def _write_atlas(bundle, scaffold, eval_idx, out_dir, meta, scores=None):
 
 def cmd_run(args):
     out = args.out
-    t_start = time.perf_counter()
-    stage_times = {}
-
     yield "load-dataset"
-    t0 = time.perf_counter()
     bundle = load_dataset(args.edges, args.features, args.labels, name=args.name)
     yield "configure"
     config = _run_config(args, bundle.name)
     c_hash = config_hash(config)
-    stage_times["load"] = time.perf_counter() - t0
 
     yield "evaluate"
-    t0 = time.perf_counter()
     outcomes = evaluate_repeats(
         bundle.graph,
         bundle.X,
@@ -218,10 +210,8 @@ def cmd_run(args):
         fisher_mode=config.fisher_mode,
     )
     summary = summarize_repeats(outcomes)
-    stage_times["evaluate"] = time.perf_counter() - t0
 
     yield "atlas"
-    t0 = time.perf_counter()
     meta = report_meta(c_hash, config.split.mode)
     for o in outcomes:
         rep_dir = os.path.join(out, f"repeat_{o.repeat:02d}")
@@ -245,7 +235,6 @@ def cmd_run(args):
                     "test_idx": o.test.tolist(),
                 },
             )
-    stage_times["atlas"] = time.perf_counter() - t0
 
     yield "report"
     results = {
@@ -280,11 +269,6 @@ def cmd_run(args):
         ],
     }
     write_json(os.path.join(out, "results.json"), results)
-    stage_times["total"] = time.perf_counter() - t_start
-    write_json(
-        os.path.join(out, "timing.json"),
-        {"config_hash": c_hash, "seconds": stage_times},
-    )
     print(
         f"run complete: mean accuracy {summary['mean']:.4f}"
         + (f" +- {summary['std']:.4f}" if summary["std"] is not None else "")
@@ -298,7 +282,7 @@ def cmd_ablate(args):
     bundle = load_dataset(args.edges, args.features, args.labels, name=args.name)
     yield "configure"
     config = _run_config(args, bundle.name)
-    wanted = _variants(args)
+    wanted = _resolve(args.variants, variant_by_name, "variant") if args.variants else VARIANTS
     names = {v.name for v in wanted}
     paired = "full" in names and len(names) > 1
     if paired and config.repeats < 2:
@@ -548,12 +532,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_glue_deltas(sys.argv[1:] if argv is None else argv))
     os.makedirs(args.out, exist_ok=True)
     stage = None
+    marks = {}  # stage -> the clock when the verb yielded it
+    start = time.perf_counter()
     try:
         for stage in args.fn(args):
-            pass
+            marks[stage] = time.perf_counter()
     except Exception as e:
         print(f"graphsig {args.verb}: stage {stage}: {e}", file=sys.stderr)
         return 2
+    times = [*marks.values(), time.perf_counter()]
+    seconds = {s: times[i + 1] - times[i] for i, s in enumerate(marks)}
+    seconds["total"] = times[-1] - start
+    # written outside write_json, whose sorted keys would lose the stage order
+    with open(os.path.join(args.out, "timing.json"), "w", encoding="utf-8") as fh:
+        json.dump({"verb": args.verb, "seconds": seconds}, fh, indent=2)
+        fh.write("\n")
     return 0
 
 

@@ -56,7 +56,7 @@ def block_by_name(name: str) -> BlockId:
     try:
         return _BY_NAME[name]
     except KeyError:
-        raise KeyError(f"unknown block {name!r}; valid: {', '.join(BLOCK_NAMES)}") from None
+        raise KeyError(f"unknown block {name!r}; known: {', '.join(BLOCK_NAMES)}") from None
 
 
 def family_blocks(family: str, active=BLOCKS) -> tuple:

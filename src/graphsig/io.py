@@ -27,7 +27,7 @@ from itertools import chain
 import numpy as np
 
 from .conventions import PACKAGE_VERSION, conventions
-from .dictionary import BLOCK_NAMES
+from .dictionary import BLOCK_NAMES, block_by_name
 from .graph import build_graph, load_edge_list, node_ids
 from .scaffold import FittedScaffold, HyperConfig, SearchGrids, SplitSpec, fit
 
@@ -346,9 +346,9 @@ def load_snapshot(path, g, X) -> FittedScaffold:
     ``extra`` dict (empty when absent) comes back as the scaffold's
     ``extra``, so callers need not parse the file again.  A file that is
     not a snapshot object, lacks a key or config field, holds a config
-    that is not an object or labels that are not integers, or whose train
-    or Fisher rows fail ``graph.node_ids`` with its labels fails, naming
-    ``path``.
+    that is not an object or names an unknown block, or labels that are
+    not integers, or whose train or Fisher rows fail ``graph.node_ids``
+    with its labels fails, naming ``path``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -373,6 +373,11 @@ def load_snapshot(path, g, X) -> FittedScaffold:
         labels, train_idx, fisher_idx, width = (payload[key] for key in keys)
     except KeyError as err:
         raise ValueError(f"{path}: snapshot lacks {err}") from None
+    try:
+        for name in config.active_blocks:
+            block_by_name(name)
+    except KeyError as err:
+        raise ValueError(f"{path}: {err.args[0]}") from None
     labels = np.asarray(labels)
     if labels.size and labels.dtype.kind not in "iu":
         raise ValueError(f"{path}: labels must be integers, got dtype {labels.dtype}")

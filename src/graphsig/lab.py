@@ -46,7 +46,7 @@ def variant_by_name(name: str) -> VariantSpec:
     for v in VARIANTS:
         if v.name == name:
             return v
-    raise KeyError(f"unknown variant {name!r}; known: {[v.name for v in VARIANTS]}")
+    raise KeyError(f"unknown variant {name!r}; known: {', '.join(v.name for v in VARIANTS)}")
 
 
 def run_variant(

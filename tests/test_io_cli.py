@@ -783,10 +783,12 @@ def bare_snapshot(disk_dataset, tmp_path_factory):
         (lambda s: dict(s, labels=[v + 0.7 for v in s["labels"]]),
          r"bad\.json: labels must be integers, got dtype float64$"),
         (lambda s: dict(s, config=[1, 2]), r"bad\.json: config must be an object, got list$"),
+        (lambda s: dict(s, config=dict(s["config"], active_blocks=["X", "Bogus"])),
+         r"bad\.json: unknown block 'Bogus'; known: X, ProwX, "),
     ],
     ids=["v1", "labels-length", "unlabeled-train-row", "negative-fisher-row", "width",
          "not-an-object", "no-config", "no-fisher-rows", "no-config-alphas",
-         "non-integer-labels", "config-not-an-object"],
+         "non-integer-labels", "config-not-an-object", "unknown-block"],
 )
 def test_snapshot_rejects_inputs_that_do_not_fit(edit, match, bare_snapshot, disk_dataset, tmp_path):
     with open(bare_snapshot) as fh:
@@ -809,6 +811,7 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
             id="missing-features",
         ),
         pytest.param(["run", *DATA, "--blocks", "X,Bogus"], "configure", id="unknown-block"),
+        pytest.param(["run", *DATA, "--blocks", "X,X,ProwX"], "configure", id="block-given-twice"),
         pytest.param(
             ["run", *DATA, "--split-mode", "fraction", "--fractions", "0.5,0.5"],
             "configure",
@@ -900,6 +903,11 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
         pytest.param(
             ["ablate", *DATA, "--variants", "full,nosuch"], "configure", id="unknown-variant"
         ),
+        pytest.param(
+            ["ablate", *DATA, "--variants", "full,full,raw_only"],
+            "configure",
+            id="variant-given-twice",
+        ),
     ],
 )
 def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, capsys):
@@ -949,6 +957,112 @@ def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, caps
     assert len(lines) == 1
     assert lines[0].startswith(f"graphsig {argv[0]}: stage {stage}: ")
     assert os.listdir(out) == []  # failed before writing any report
+
+
+KNOWN_BLOCKS = "known: X, ProwX, Prow2X, Prow3X, X-ProwX, ProwX-Prow2X, PsymX, Psym2X, X-PsymX"
+KNOWN_VARIANTS = "known: full, raw_only, no_high_pass, no_p3x, no_sym, pca_only, ridge_only"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        pytest.param(
+            ["run", *DATA, "--blocks", "X,Bogus"],
+            f"graphsig run: stage configure: unknown block 'Bogus'; {KNOWN_BLOCKS}",
+            id="unknown-block",
+        ),
+        pytest.param(
+            ["ablate", *DATA, "--variants", "full,nosuch"],
+            f"graphsig ablate: stage configure: unknown variant 'nosuch'; {KNOWN_VARIANTS}",
+            id="unknown-variant",
+        ),
+        pytest.param(
+            ["fingerprint", *DATA, "--snapshot", "{snapshot}"],
+            "graphsig fingerprint: stage load-snapshot: {snapshot}: unknown block 'Bogus'; "
+            + KNOWN_BLOCKS,
+            id="snapshot-unknown-block",
+        ),
+        pytest.param(
+            ["run", *DATA, "--blocks", "X,X,ProwX"],
+            "graphsig run: stage configure: block 'X' given twice",
+            id="block-given-twice",
+        ),
+        pytest.param(
+            ["ablate", *DATA, "--variants", "full,full,raw_only"],
+            "graphsig ablate: stage configure: variant 'full' given twice",
+            id="variant-given-twice",
+        ),
+    ],
+)
+def test_cli_name_error_line(argv, line, disk_dataset, bare_snapshot, tmp_path, capsys):
+    with open(bare_snapshot) as fh:
+        snapshot = json.load(fh)
+    snapshot["config"]["active_blocks"] = ["X", "Bogus"]
+    (tmp_path / "bogus.json").write_text(json.dumps(snapshot))
+    paths = dict(disk_dataset, snapshot=str(tmp_path / "bogus.json"))
+    out = tmp_path / "out"
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == line.format(**paths) + "\n"
+    assert os.listdir(out) == []
+
+
+FIT = ["--repeats", "2", "--train-per-class", "8", "--val-per-class", "5", *FAST_MODEL]
+PROTOTYPE = ["prototype", "--edges", "{edges}", "--features", "{features}", "--method"]
+
+
+@pytest.mark.parametrize(
+    "argv, stages",
+    [
+        pytest.param(
+            ["run", *DATA, *FIT], ("load-dataset", "configure", "evaluate", "atlas", "report"),
+            id="run",
+        ),
+        pytest.param(
+            ["ablate", *DATA, *FIT, "--variants", "full,raw_only"],
+            ("load-dataset", "configure", "evaluate-variants", "report"),
+            id="ablate",
+        ),
+        pytest.param(
+            [*PROTOTYPE, "knn", "--k", "3"], ("load-dataset", "prototype-knn", "write"),
+            id="prototype-knn",
+        ),
+        pytest.param(
+            [*PROTOTYPE, "rewire"], ("load-dataset", "prototype-rewire", "write"),
+            id="prototype-rewire",
+        ),
+        *(
+            pytest.param(
+                [verb, *DATA, "--snapshot", "{snapshot}"],
+                ("load-dataset", "load-snapshot", "select-eval-nodes", "atlas"),
+                id=verb,
+            )
+            for verb in ("fingerprint", "atlas")
+        ),
+        pytest.param(
+            ["paired", "--a", "{results}", "--b", "{results}"],
+            ("load-results", "paired-stats", "report"),
+            id="paired-runs",
+        ),
+        pytest.param(
+            ["paired", "--deltas", "1,2,-0.5"], ("load-results", "report"), id="paired-deltas"
+        ),
+    ],
+)
+def test_cli_timing_json(argv, stages, run_out, disk_dataset, tmp_path):
+    paths = dict(
+        disk_dataset,
+        snapshot=os.path.join(run_out, "repeat_00", "snapshot.json"),
+        results=os.path.join(run_out, "results.json"),
+    )
+    out = str(tmp_path / "out")
+    assert main([a.format(**paths) for a in argv] + ["--out", out]) == 0
+    with open(os.path.join(out, "timing.json")) as fh:
+        timing = json.load(fh)
+    assert timing["verb"] == argv[0]
+    seconds = timing["seconds"]
+    assert list(seconds) == [*stages, "total"]  # the stages in the order they ran
+    assert all(s >= 0 for s in seconds.values())
+    assert seconds["total"] >= sum(seconds[s] for s in stages)
 
 
 @pytest.mark.parametrize(
