@@ -417,6 +417,22 @@ def _atlas_like(args):
     )
 
 
+def _load_results(path):
+    """A results.json and its repeats' test accuracies, failing with ``path``."""
+    with open(path) as fh:
+        res = json.load(fh)
+    if not isinstance(res, dict):
+        raise ValueError(f"{path}: not a results object")
+    if "repeats" not in res:
+        raise ValueError(f"{path}: results lack 'repeats'")
+    run = []
+    for i, r in enumerate(res["repeats"]):
+        if not isinstance(r, dict) or "test_accuracy" not in r:
+            raise ValueError(f"{path}: repeat {i} lacks 'test_accuracy'")
+        run.append(SimpleNamespace(test_accuracy=r["test_accuracy"]))
+    return res, run
+
+
 def cmd_paired(args):
     yield "load-results"
     if args.deltas is not None:
@@ -425,16 +441,9 @@ def cmd_paired(args):
     else:
         if not (args.a and args.b):
             raise ValueError("need --a and --b result files (or --deltas)")
-        with open(args.a) as fh:
-            ra = json.load(fh)
-        with open(args.b) as fh:
-            rb = json.load(fh)
-        runs = [
-            [SimpleNamespace(test_accuracy=r["test_accuracy"]) for r in res["repeats"]]
-            for res in (ra, rb)
-        ]
+        (ra, run_a), (rb, run_b) = _load_results(args.a), _load_results(args.b)
         yield "paired-stats"
-        result = compare_runs(*runs)
+        result = compare_runs(run_a, run_b)
         inputs = {
             "a": {"path": str(args.a), "config_hash": ra.get("config_hash")},
             "b": {"path": str(args.b), "config_hash": rb.get("config_hash")},

@@ -71,8 +71,9 @@ class SignalDictionary:
     block ``active[k]``, entry (i, j) being ``(a[i, j'] - b[i, j']) *
     scale[i, k]`` with j' = j - k*d, where ``terms[k]`` is ``(a, b)`` for a
     difference block and ``(a,)`` (no subtraction) for a power.  The n x d
-    power arrays are shared between blocks, and like ``scale`` they are
-    read-only and owned by the dictionary.  coord_block[j] is the block
+    power arrays are shared between blocks and with ``subset`` views, and
+    like ``scale`` they are read-only and owned by the dictionary that
+    built them.  coord_block[j] is the block
     index (0..8) owning column j; columns of one block are contiguous and
     ordered by block index.
     """
@@ -119,6 +120,15 @@ class SignalDictionary:
                 out[:, at] = np.multiply(v, s, out=v)
         return out
 
+    def subset(self, names) -> "SignalDictionary":
+        """The blocks ``names`` (all active here) as a view of this dictionary's
+        powers: bitwise what ``build_dictionary`` returns for them."""
+        active = canonical_blocks(names)
+        if missing := [b.name for b in active if b not in self.active]:
+            raise ValueError(f"blocks {missing} are not active in this dictionary")
+        at = [self.active.index(b) for b in active]
+        return _assemble(tuple(self.terms[k] for k in at), self.scale[:, at], self.d, active)
+
     @property
     def F0(self) -> np.ndarray:
         """The whole n x p matrix, computed on each access.  The pipeline
@@ -163,16 +173,7 @@ def build_dictionary(g: SparseGraph, X: np.ndarray, active_blocks=None) -> Signa
         raise ValueError(f"non-finite feature entry at row {bad[0]}, column {bad[1]}")
     X.flags.writeable = False
 
-    if active_blocks is None:
-        active = BLOCKS
-    else:
-        active = tuple(
-            b if isinstance(b, BlockId) else block_by_name(b) for b in active_blocks
-        )
-        active = tuple(sorted(set(active), key=lambda b: b.index))
-    if not active:
-        raise ValueError("active_blocks must be nonempty")
-
+    active = canonical_blocks(BLOCKS if active_blocks is None else active_blocks)
     power = _powers(g, X, active)
     terms = tuple(tuple(power[b.operator, k] for k in b.powers) for b in active)
     scale = np.zeros((g.n, len(active)))
@@ -185,8 +186,20 @@ def build_dictionary(g: SparseGraph, X: np.ndarray, active_blocks=None) -> Signa
         norms = np.sqrt(np.add.reduce(sq, axis=1))
         del sq
         np.divide(1.0, norms, out=scale[:, k], where=norms > 0)
+    return _assemble(terms, scale, X.shape[1], active)
+
+
+def canonical_blocks(active_blocks) -> tuple:
+    """The distinct blocks named (by name or BlockId), in block order;
+    an unknown name or an empty set fails."""
+    active = {b if isinstance(b, BlockId) else block_by_name(b) for b in active_blocks}
+    if not active:
+        raise ValueError("active_blocks must be nonempty")
+    return tuple(sorted(active, key=lambda b: b.index))
+
+
+def _assemble(terms, scale, d, active) -> SignalDictionary:
     scale.flags.writeable = False
-    d = X.shape[1]
     coord_block = np.repeat(np.array([b.index for b in active], dtype=np.int64), d)
     coord_block.flags.writeable = False
     return SignalDictionary(terms=terms, scale=scale, coord_block=coord_block, d=d, active=active)

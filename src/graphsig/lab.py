@@ -1,24 +1,23 @@
 """Ablation variants, prototype graph edits, and paired comparisons.
 
-Variants rerun the full pipeline with a restricted block set or a pinned
-fusion weight, on the same split sequence as the reference run so that
-per-repeat accuracies pair up.  Graph edits produce controlled inputs:
-mutual cosine-kNN densification and degree-preserving rewiring.  Paired
-statistics operate on per-pair accuracy differences in percentage
-points: exact sign test, exact Wilcoxon signed-rank (normal
-approximation past n=20), one-sample t-test, effect size, and a
-t-based 95% confidence interval.
+Variants restrict the block set or pin the fusion weight of one
+evaluation, sharing its split sequence, so that per-repeat accuracies
+pair up, its dictionary and, per block set, its search.  Graph edits
+produce controlled inputs: mutual cosine-kNN densification and
+degree-preserving rewiring.  Paired statistics operate on per-pair
+accuracy differences in percentage points: exact sign test, exact
+Wilcoxon signed-rank (normal approximation past n=20), one-sample
+t-test, effect size, and a t-based 95% confidence interval.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import BLOCK_NAMES, BLOCKS
+from .dictionary import BLOCK_NAMES, BLOCKS, build_dictionary, canonical_blocks
 from .graph import build_graph
-from .scaffold import SearchGrids, evaluate_repeats, summarize_repeats
+from .scaffold import SearchGrids, draw_splits, grid_searches, repeat_outcome, summarize_repeats
 
 _ALL = BLOCK_NAMES
 _KNN_SORT_CELLS = 1 << 16  # similarities per kNN sort block, about 1 MiB of scratch
@@ -52,28 +51,36 @@ def variant_by_name(name: str) -> VariantSpec:
 def run_variant(
     g, X, y, split_template, variant: VariantSpec, n_repeats=10, grids=None, **kw
 ):
-    """Repeated evaluation of one variant; splits depend only on seeds,
-    so every variant run from the same template is pair-aligned."""
+    """``run_variants`` of the one variant."""
+    return run_variants(g, X, y, split_template, [variant], n_repeats, grids, **kw)[variant.name]
+
+
+def run_variants(
+    g, X, y, split_template, variants=VARIANTS, n_repeats=10, grids=None,
+    fisher_mode="train", keep_scaffolds=True,
+):
+    """Each variant's ``evaluate_repeats`` outcomes, from one evaluation:
+    one split draw, so the repeats pair up; one dictionary, read through
+    ``subset`` views; and one search per block subset and split, each
+    variant choosing among its own weights (``grids.ws`` where None)."""
     grids = grids if grids is not None else SearchGrids()
-    if variant.ws is not None:
-        grids = dataclasses.replace(grids, ws=variant.ws)
-    return evaluate_repeats(
-        g,
-        X,
-        y,
-        split_template,
-        n_repeats=n_repeats,
-        grids=grids,
-        active_blocks=variant.active_blocks,
-        **kw,
-    )
-
-
-def run_variants(g, X, y, split_template, variants=VARIANTS, n_repeats=10, grids=None, **kw):
-    return {
-        v.name: run_variant(g, X, y, split_template, v, n_repeats=n_repeats, grids=grids, **kw)
-        for v in variants
-    }
+    variants = {v.name: v for v in variants}.values()  # a repeated name keeps the last
+    y = np.asarray(y)
+    splits = draw_splits(y, split_template, n_repeats, fisher_mode)
+    full = build_dictionary(g, X, [b for v in variants for b in v.active_blocks])
+    by_blocks = {}  # canonical block subset -> the variants on it
+    for v in variants:
+        by_blocks.setdefault(canonical_blocks(v.active_blocks), []).append(v)
+    results = {v.name: [] for v in variants}
+    for blocks, group in by_blocks.items():
+        view = full.subset(blocks)
+        w_grids = [grids.ws if v.ws is None else v.ws for v in group]
+        for split in splits:
+            _, _, train, val, _, fisher_idx = split
+            found = grid_searches(view, y, train, val, grids, fisher_idx, w_grids)
+            for v, f in zip(group, found):
+                results[v.name].append(repeat_outcome(split, y, f, keep_scaffolds))
+    return results
 
 
 def ablation_table(results: dict):

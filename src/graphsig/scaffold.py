@@ -120,9 +120,10 @@ def make_split(y, spec: SplitSpec):
             f"{spec.train_per_class} and {spec.val_per_class}"
         )
     if spec.mode == "fraction":
-        total = spec.train_frac + spec.val_frac + spec.test_frac
-        if not (0 < spec.train_frac < 1 and 0 <= spec.val_frac < 1):
-            raise ValueError("fractions must lie in (0,1)")
+        fracs = (spec.train_frac, spec.val_frac, spec.test_frac)
+        total = sum(fracs)
+        if not (0 < fracs[0] < 1 and 0 <= fracs[1] < 1 and 0 <= fracs[2] <= 1):
+            raise ValueError(f"fractions {fracs} must lie in (0,1), [0,1) and [0,1]")
         if total > 1 + 1e-9:
             raise ValueError(f"fractions sum to {total:.4f} > 1")
 
@@ -283,18 +284,28 @@ def grid_search(
 
     Returns (best HyperConfig, FittedScaffold at it, val accuracy).
     """
+    return grid_searches(dictionary, y, train, val, grids, fisher_idx, [grids.ws])[0]
+
+
+def grid_searches(dictionary: SignalDictionary, y, train, val, grids, fisher_idx, w_grids):
+    """``grid_search`` with each of ``w_grids`` in place of ``grids.ws``,
+    as one search: each point is fused once per distinct weight, and each
+    grid keeps its own first-wins winner, bitwise its own search's."""
     y = np.asarray(y)
-    for axis in ("ks", "r_maxs", "etas", "alpha_sets", "ws"):
+    for axis in ("ks", "r_maxs", "etas", "alpha_sets"):
         if not getattr(grids, axis):
             raise ValueError(f"grid axis {axis} is empty")
+    if not all(w_grids):
+        raise ValueError("grid axis ws is empty")
     if not all(grids.alpha_sets):
         raise ValueError("grid axis alpha_sets holds an empty alpha set")
     train = node_ids(train, dictionary.n, "train", y)
     val = node_ids(val, dictionary.n, "val", y)
     fisher_idx = train if fisher_idx is None else node_ids(fisher_idx, dictionary.n, "Fisher", y)
-    if val.size == 0 and grids.size() > 1:
+    if val.size == 0 and any(dataclasses.replace(grids, ws=ws).size() > 1 for ws in w_grids):
         raise ValueError("validation set must be nonempty")
-    for w in grids.ws:
+    sweep = tuple(dict.fromkeys(w for ws in w_grids for w in ws))
+    for w in sweep:
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"w must be in [0, 1], got {w}")
     q = fisher_scores(dictionary, fisher_idx, y)
@@ -307,7 +318,7 @@ def grid_search(
     alpha_sets = tuple(dict.fromkeys(tuple(a) for a in grids.alpha_sets))
     active_blocks = tuple(b.name for b in dictionary.active)
 
-    best = None  # (val accuracy, config, pieces fitted at it)
+    best = [None] * len(w_grids)  # per w grid: (val accuracy, point, pieces fitted at it)
     seen_k_eff = set()
     for k in grids.ks:
         selection = select_top_k(q, k)
@@ -358,38 +369,22 @@ def grid_search(
             sigma_pca = float(np.std(np.ascontiguousarray(R_tr[:, cols])))
             Rp_val = R_val[:, cols] / (sigma_pca + eps)
             for key, model, sigma_ridge, Rr_val in ridges:
-                for w in grids.ws:
-                    _, yhat = fuse(Rp_val, Rr_val, w, classes)
-                    acc = accuracy(yhat, y_val)
-                    if best is None or acc > best[0]:
-                        config = HyperConfig(
-                            k=k,
-                            r_max=r_max,
-                            eta=eta,
-                            alphas=key,
-                            w=w,
-                            active_blocks=active_blocks,
-                        )
-                        pieces = (selection, subspaces, model, sigma_pca, sigma_ridge)
-                        best = (acc, config, pieces)
-    best_acc, best_config, (selection, subspaces, model, sigma_pca, sigma_ridge) = best
+                accs = {w: accuracy(fuse(Rp_val, Rr_val, w, classes)[1], y_val) for w in sweep}
+                # FittedScaffold's fields from selection to sigma_ridge
+                pieces = (selection, subspaces, model, sigma_pca, sigma_ridge)
+                for i, ws in enumerate(w_grids):
+                    for w in ws:
+                        if best[i] is None or accs[w] > best[i][0]:
+                            best[i] = (accs[w], (k, r_max, eta, key, w), pieces)
     read = np.concatenate([train, fisher_idx])
     labels = np.full(y.shape[0], -1, dtype=np.int64)
     labels[read] = y[read]
-    scaffold = FittedScaffold(
-        config=best_config,
-        selection=selection,
-        subspaces=subspaces,
-        ridge=model,
-        sigma_pca=sigma_pca,
-        sigma_ridge=sigma_ridge,
-        classes=classes,
-        train_idx=train,
-        fisher_idx=fisher_idx,
-        labels=labels,
-        dictionary=dictionary,
-    )
-    return best_config, scaffold, best_acc
+    found = []
+    for acc, point, pieces in best:
+        config = HyperConfig(*point, active_blocks)
+        scaffold = FittedScaffold(config, *pieces, classes, train, fisher_idx, labels, dictionary)
+        found.append((config, scaffold, acc))
+    return found
 
 
 @dataclass
@@ -408,6 +403,41 @@ class RepeatOutcome:
     test_scores: tuple = field(repr=False, default=None)
 
 
+def draw_splits(y, split_template: SplitSpec, n_repeats: int, fisher_mode: str) -> list:
+    """Every repeat's (repeat, seed, train, val, test, Fisher rows): repeat
+    i uses seed = template seed + i.  All are drawn, and checked to hold
+    test nodes, before the caller evaluates any."""
+    if fisher_mode not in ("train", "train+val"):
+        raise ValueError(f"unknown fisher_mode {fisher_mode!r}")
+    if n_repeats < 1:
+        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
+    splits = []
+    for rep in range(n_repeats):
+        seed = split_template.seed + rep
+        spec = dataclasses.replace(split_template, seed=seed, repeat=rep)
+        train, val, test = make_split(y, spec)
+        if test.size == 0:
+            raise ValueError(
+                f"repeat {rep} (seed {seed}) has no test nodes: the split "
+                "gives every labeled node to train or val"
+            )
+        fisher_idx = train if fisher_mode == "train" else np.sort(np.concatenate([train, val]))
+        splits.append((rep, seed, train, val, test, fisher_idx))
+    return splits
+
+
+def repeat_outcome(split, y, found, keep_scaffolds: bool) -> RepeatOutcome:
+    """The search result ``found`` on ``split``, a ``draw_splits`` entry:
+    its scaffold scores the test rows, which nothing read before."""
+    rep, seed, train, val, test, _ = split
+    config, scaffold, val_acc = found
+    scores = predict(scaffold, scaffold.rows(test))
+    kept = (scaffold, scores) if keep_scaffolds else (None, None)
+    return RepeatOutcome(
+        rep, seed, train, val, test, config, val_acc, accuracy(scores[0], y[test]), *kept
+    )
+
+
 def evaluate_repeats(
     g,
     X,
@@ -421,51 +451,17 @@ def evaluate_repeats(
 ):
     """Grid-search and test-evaluate over repeated class-balanced splits.
 
-    Repeat i uses seed = template seed + i.  Test labels are touched only
+    The splits come from ``draw_splits``.  Test labels are touched only
     by the final accuracy computation; selection sees train and val only.
-    Every split is drawn, and checked to hold test nodes, before any
-    evaluation starts.
     """
-    if fisher_mode not in ("train", "train+val"):
-        raise ValueError(f"unknown fisher_mode {fisher_mode!r}")
-    if n_repeats < 1:
-        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
     y = np.asarray(y)
-    splits = []
-    for rep in range(n_repeats):
-        seed = split_template.seed + rep
-        spec = dataclasses.replace(split_template, seed=seed, repeat=rep)
-        train, val, test = make_split(y, spec)
-        if test.size == 0:
-            raise ValueError(
-                f"repeat {rep} (seed {seed}) has no test nodes: the split "
-                "gives every labeled node to train or val"
-            )
-        splits.append((rep, seed, train, val, test))
+    splits = draw_splits(y, split_template, n_repeats, fisher_mode)
     dictionary = build_dictionary(g, X, active_blocks)
     outcomes = []
-    for rep, seed, train, val, test in splits:
-        fisher_idx = (
-            train if fisher_mode == "train" else np.sort(np.concatenate([train, val]))
-        )
-        config, scaffold, val_acc = grid_search(
-            dictionary, y, train, val, grids=grids, fisher_idx=fisher_idx
-        )
-        scores = predict(scaffold, scaffold.rows(test))
-        outcomes.append(
-            RepeatOutcome(
-                repeat=rep,
-                seed=seed,
-                train=train,
-                val=val,
-                test=test,
-                config=config,
-                val_accuracy=val_acc,
-                test_accuracy=accuracy(scores[0], y[test]),
-                scaffold=scaffold if keep_scaffolds else None,
-                test_scores=scores if keep_scaffolds else None,
-            )
-        )
+    for split in splits:
+        _, _, train, val, _, fisher_idx = split
+        found = grid_search(dictionary, y, train, val, grids, fisher_idx)
+        outcomes.append(repeat_outcome(split, y, found, keep_scaffolds))
     return outcomes
 
 

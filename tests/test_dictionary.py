@@ -146,6 +146,18 @@ def test_every_block_subset_is_bitwise_the_full_dictionarys_columns():
             assert D.F0.tobytes() == np.ascontiguousarray(full.F0[:, cols]).tobytes()
             assert np.array_equal(D.coord_block, full.coord_block[cols])
             assert D.coord_block.dtype == full.coord_block.dtype
+            # the view of the same blocks reads the full dictionary's own powers
+            names = [b.name for b in reversed(subset)]
+            view = full.subset(names)
+            assert view.active == D.active
+            assert view.F0.tobytes() == D.F0.tobytes()
+            assert np.array_equal(view.coord_block, D.coord_block)
+            assert view.scale.tobytes() == D.scale.tobytes()
+            for view_terms, b in zip(view.terms, subset, strict=True):
+                for a, own in zip(view_terms, full.terms[b.index], strict=True):
+                    assert a is own
+    with pytest.raises(ValueError, match=r"\['X'\] are not active"):
+        build_dictionary(g, X, ["ProwX"]).subset(["X", "ProwX"])
 
 
 def test_zero_feature_rows_stay_zero():

@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import filecmp
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphsig
+from graphsig import lab, scaffold
 from graphsig.cli import _run_config, build_parser, main
 from graphsig.dictionary import BLOCK_NAMES, build_dictionary
 from graphsig.graph import save_edge_list
@@ -614,6 +616,40 @@ def test_cli_ablate(disk_dataset, tmp_path):
     assert payload["paired_vs_full"]["raw_only"]["result" if False else "n"] == 2
 
 
+def test_cli_ablate_draws_once_builds_once_and_searches_once_per_block_subset(
+    disk_dataset, tmp_path, monkeypatch
+):
+    calls = collections.Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in (
+        (lab, "build_dictionary"),
+        (scaffold, "build_dictionary"),
+        (scaffold, "make_split"),
+        (lab, "grid_searches"),
+        (scaffold, "grid_search"),
+        (scaffold, "fisher_scores"),  # once per search
+    ):
+        count(module, name)
+    code = main([
+        "ablate",
+        "--edges", disk_dataset["edges"], "--features", disk_dataset["features"],
+        "--labels", disk_dataset["labels"], "--out", str(tmp_path / "ablate"),
+        "--repeats", "3", "--train-per-class", "8", "--val-per-class", "5",
+    ] + FAST_MODEL)
+    assert code == 0
+    # seven variants on five block subsets: full, pca_only and ridge_only share one
+    assert calls == {"build_dictionary": 1, "make_split": 3, "grid_searches": 15, "fisher_scores": 15}
+
+
 def _csv_columns(path):
     with open(path, newline="") as fh:
         fh.readline()  # the meta line
@@ -708,6 +744,25 @@ def test_cli_paired(run_out, disk_dataset, tmp_path):
     assert code == 0
     with open(os.path.join(out2, "paired_report.json")) as fh:
         assert json.load(fh)["result"]["mean"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param([{"test_accuracy": 0.5}], "not a results object", id="json-list"),
+        pytest.param({"config_hash": "abc"}, "results lack 'repeats'", id="no-repeats"),
+        pytest.param(
+            {"repeats": [{"seed": 0}]}, "repeat 0 lacks 'test_accuracy'", id="no-test-accuracy"
+        ),
+    ],
+)
+def test_cli_paired_names_a_malformed_results_file(payload, message, run_out, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    good = os.path.join(run_out, "results.json")
+    code = main(["paired", "--a", good, "--b", str(bad), "--out", str(tmp_path / "paired")])
+    assert code == 2
+    assert capsys.readouterr().err == f"graphsig paired: stage load-results: {bad}: {message}\n"
 
 
 def test_cli_paired_negative_first_delta(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -88,6 +89,52 @@ def test_pca_only_variant_equals_pinned_weight():
     want = evaluate_repeats(g, X, y, spec, n_repeats=2, grids=grids)
     assert [o.test_accuracy for o in got] == [o.test_accuracy for o in want]
     assert all(o.config.w == 1.0 for o in got)
+
+
+W_POOL = (0.0, 0.25, 0.5, 0.75, 1.0)
+# two spellings of one subset, so that variants share a search in either order
+BLOCK_POOL = (("X",), ("X", "ProwX"), ("ProwX", "X"), ("Psym2X", "X-PsymX"), BLOCK_NAMES)
+
+
+def w_grids():
+    return st.lists(st.sampled_from(W_POOL), min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    specs=st.lists(
+        st.tuples(st.sampled_from(BLOCK_POOL), st.none() | w_grids()), min_size=1, max_size=4
+    ),
+    ks=st.lists(st.sampled_from((4, 15, 40)), min_size=1, max_size=2, unique=True),
+    alpha_sets=st.lists(st.sampled_from(((1.0,), (0.1, 1.0))), min_size=1, max_size=2),
+    ws=w_grids(),
+    fisher_mode=st.sampled_from(("train", "train+val")),
+    seed=st.integers(0, 3),
+)
+def test_run_variants_equals_one_evaluation_per_variant(specs, ks, alpha_sets, ws, fisher_mode, seed):
+    g, X, y = make_sbm_dataset(
+        n_per_class=15, n_classes=3, p_within=0.2, p_between=0.08, d=4, shift=1.0, seed=seed
+    )
+    spec = SplitSpec(train_per_class=5, val_per_class=5, seed=seed)
+    grids = SearchGrids(ks=tuple(ks), r_maxs=(1, 3), etas=(0.9,), alpha_sets=tuple(alpha_sets), ws=ws)
+    variants = [lab.VariantSpec(f"v{i}", blocks, w) for i, (blocks, w) in enumerate(specs)]
+    got = run_variants(
+        g, X, y, spec, variants=variants, n_repeats=2, grids=grids, fisher_mode=fisher_mode
+    )
+    assert list(got) == [v.name for v in variants]
+    for v in variants:
+        own = dataclasses.replace(grids, ws=ws if v.ws is None else v.ws)
+        want = evaluate_repeats(
+            g, X, y, spec, n_repeats=2, grids=own,
+            active_blocks=v.active_blocks, fisher_mode=fisher_mode,
+        )
+        for a, b in zip(got[v.name], want, strict=True):
+            for part in ("train", "val", "test"):
+                assert np.array_equal(getattr(a, part), getattr(b, part))
+            assert a.config == b.config
+            assert a.val_accuracy == b.val_accuracy
+            assert a.test_accuracy == b.test_accuracy
+            assert a.test_scores[1].tobytes() == b.test_scores[1].tobytes()
 
 
 def test_ablation_table_ranks():

@@ -123,6 +123,13 @@ def test_split_errors():
         )
 
 
+@pytest.mark.parametrize("test_frac", [-5.0, 1.5, float("nan")])
+def test_fraction_split_rejects_a_test_fraction_outside_the_unit_interval(test_frac):
+    spec = SplitSpec(mode="fraction", train_frac=0.6, val_frac=0.2, test_frac=test_frac)
+    with pytest.raises(ValueError, match=rf"^fractions \(0\.6, 0\.2, {test_frac}\) must lie in"):
+        make_split(np.repeat([0, 1], 10), spec)
+
+
 def test_split_rejects_bad_per_class_counts():
     y = np.repeat([0, 1], 40)
     for t, v in ((-5, 30), (0, 30), (20, -1)):
@@ -641,6 +648,35 @@ def test_fit_is_equivariant_under_node_relabelling():
     yhat = predict(sc, sc.rows(np.arange(g.n)))[0]
     yhat_p = predict(sc_p, sc_p.rows(np.arange(g.n)))[0]
     assert np.array_equal(yhat_p[perm], yhat)
+
+
+@settings(max_examples=36, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 11),
+    n_classes=st.integers(2, 4),
+    perm=st.permutations(range(4)),
+    fisher_mode=st.sampled_from(("train", "train+val")),
+)
+def test_search_is_equivariant_under_class_renaming(seed, n_classes, perm, fisher_mode):
+    g, X, y = make_sbm_dataset(
+        n_per_class=20, n_classes=n_classes, p_within=0.15, p_between=0.05,
+        d=5, shift=1.0, seed=seed,
+    )
+    # the rows stay fixed: make_split draws per class in class order
+    train, val, test = make_split(y, SplitSpec(train_per_class=6, val_per_class=6, seed=seed))
+    fisher_idx = train if fisher_mode == "train" else np.sort(np.concatenate([train, val]))
+    rename = np.array([c for c in perm if c < n_classes])
+    grids = SearchGrids(
+        ks=(10, 30), r_maxs=(2, 4), etas=(0.9,), alpha_sets=((0.1, 1.0),),
+        ws=(0.0, 0.3, 0.5, 0.7, 1.0),
+    )
+    dictionary = build_dictionary(g, X)
+    config, sc, acc = grid_search(dictionary, y, train, val, grids, fisher_idx)
+    config_r, sc_r, acc_r = grid_search(dictionary, rename[y], train, val, grids, fisher_idx)
+    assert config_r == config
+    assert acc_r == acc
+    yhat = predict(sc, sc.rows(test))[0]
+    assert np.array_equal(predict(sc_r, sc_r.rows(test))[0], rename[yhat])
 
 
 def test_evaluate_repeats_fisher_mode():
