@@ -147,8 +147,11 @@ def _grids(args) -> SearchGrids:
 def _resolve(text, lookup, kind):
     """The comma list ``text`` resolved name by name through ``lookup``,
     in the order given; an unknown name fails with the lookup's message,
-    and a name given twice fails, naming it."""
+    a name given twice fails, naming it, and a list that names nothing
+    fails, naming its flag ``--<kind>s``."""
     names = [t.strip() for t in text.split(",") if t.strip()]
+    if not names:
+        raise ValueError(f"--{kind}s {text!r} names no {kind}")
     resolved = []
     for i, name in enumerate(names):
         try:
@@ -282,7 +285,9 @@ def cmd_ablate(args):
     bundle = load_dataset(args.edges, args.features, args.labels, name=args.name)
     yield "configure"
     config = _run_config(args, bundle.name)
-    wanted = _resolve(args.variants, variant_by_name, "variant") if args.variants else VARIANTS
+    wanted = VARIANTS
+    if args.variants is not None:
+        wanted = _resolve(args.variants, variant_by_name, "variant")
     names = {v.name for v in wanted}
     paired = "full" in names and len(names) > 1
     if paired and config.repeats < 2:

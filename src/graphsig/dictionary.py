@@ -10,10 +10,18 @@ placed side by side.  Each output coordinate remembers which block
 it came from, which is what the downstream evidence decomposition runs
 on.
 
-The dictionary is held as its recipe: the powers the active blocks name
-and one row scale per block.  The n x p matrix is never formed; a gather
-computes just the entries it returns, each by the same floating-point
-operations the whole matrix would have taken.
+The dictionary is held as its recipe: the powers the active blocks name,
+except each operator's highest one, and one row scale per block.  That
+top power (P_row^3 X and P_sym^2 X for all nine blocks) is read through
+a hop instead: the dictionary holds the power just below it, whether or
+not a block names that one, plus the operator's CSR arrays, and a read
+of the top power's entries at some rows multiplies just those operator
+rows by the held power: one multiply-add per stored entry of those rows
+and per column multiplied (all d, or only the columns read when the rows
+are many), about mean-degree times the cost of reading a held power.
+The n x p matrix is never formed, nor is a top power; a gather computes
+just the entries it returns, each by the same floating-point operations
+the whole matrix would have taken.
 """
 
 from dataclasses import dataclass
@@ -46,6 +54,10 @@ BLOCKS = (
 
 _OPERATORS = {"row": row_operator, "sym": sym_operator}
 
+# the row scales are computed over row blocks of about this many bytes,
+# so no n x d temporary (a block, its squares, a top power) is made
+_ROW_BLOCK_BYTES = 1 << 20
+
 BLOCK_NAMES = tuple(b.name for b in BLOCKS)
 FAMILIES = ("raw", "low", "high")
 
@@ -70,15 +82,19 @@ class SignalDictionary:
     F0 is n x p with p = len(active) * d; its columns [k*d, (k+1)*d) are
     block ``active[k]``, entry (i, j) being ``(a[i, j'] - b[i, j']) *
     scale[i, k]`` with j' = j - k*d, where ``terms[k]`` is ``(a, b)`` for a
-    difference block and ``(a,)`` (no subtraction) for a power.  The n x d
-    power arrays are shared between blocks and with ``subset`` views, and
-    like ``scale`` they are read-only and owned by the dictionary that
-    built them.  coord_block[j] is the block
-    index (0..8) owning column j; columns of one block are contiguous and
-    ordered by block index.
+    difference block and ``(a,)`` (no subtraction) for a power.  When
+    ``hops[k]`` is an operator's CSR arrays ``(indptr, indices, data)``
+    rather than ``()``, the block's last term is read as P @ that term:
+    the operator's top power, of which only the power below is held.  The
+    n x d power arrays are shared between blocks and with ``subset``
+    views, and like ``scale`` and the operator arrays they are read-only
+    and owned by the dictionary that built them.  coord_block[j] is the
+    block index (0..8) owning column j; columns of one block are
+    contiguous and ordered by block index.
     """
 
     terms: tuple
+    hops: tuple  # per active block: () or P's CSR arrays, applied to its last term
     scale: np.ndarray  # (n, len(active)): 1 / row norm of each block, 0 for zero rows
     coord_block: np.ndarray
     d: int
@@ -108,11 +124,7 @@ class SignalDictionary:
             c = cols[at] - k * self.d
             # a whole block reads whole rows: several times cheaper than np.ix_
             whole = c.size == self.d and bool(np.all(np.diff(c) == 1))
-            ix = (rows,) if whole else np.ix_(rows, c)
-            a, *b = self.terms[k]
-            v = a[ix]
-            if b:
-                np.subtract(v, b[0][ix], out=v)
+            v = _entries(self.terms[k], self.hops[k], rows, None if whole else c)
             s = self.scale[rows, k][:, None]
             if at[-1] - at[0] + 1 == at.size:  # a column run: sorted selections
                 np.multiply(v, s, out=out[:, at[0] : at[-1] + 1])
@@ -127,7 +139,8 @@ class SignalDictionary:
         if missing := [b.name for b in active if b not in self.active]:
             raise ValueError(f"blocks {missing} are not active in this dictionary")
         at = [self.active.index(b) for b in active]
-        return _assemble(tuple(self.terms[k] for k in at), self.scale[:, at], self.d, active)
+        terms, hops = (tuple(held[k] for k in at) for held in (self.terms, self.hops))
+        return _assemble(terms, hops, self.scale[:, at], self.d, active)
 
     @property
     def F0(self) -> np.ndarray:
@@ -136,34 +149,78 @@ class SignalDictionary:
         return self.gather(np.arange(self.n), np.arange(self.p))
 
 
-def _powers(g: SparseGraph, X: np.ndarray, active: tuple) -> dict:
-    """{(operator, k): P^k X} for just the powers the active recipes name;
-    P^0 X is X itself under both operators.  Each held power is read-only."""
-    power = {}
+def _entries(terms, hop, rows, cols=None) -> np.ndarray:
+    """The un-normalized entries of one block at ``rows`` x ``cols`` (None:
+    all d columns), as a new array: ``terms[0] - terms[1]`` or ``terms[0]``,
+    the last term read through ``hop`` when there is one."""
+
+    def read(power):
+        return power[rows] if cols is None else power[np.ix_(rows, cols)]
+
+    *first, last = terms
+    v = _hop(hop, last, rows, cols) if hop else read(last)
+    if first:
+        np.subtract(read(first[0]), v, out=v)
+    return v
+
+
+def _hop(op, below, rows, cols=None) -> np.ndarray:
+    """Rows ``rows`` and columns ``cols`` (None: all) of P @ ``below``, P
+    given by its CSR arrays ``op``: just those operator rows times
+    ``below``.  Each entry sums its row's stored entries in their CSR
+    order, as the whole sparse product does, so it is bitwise the same."""
+    import scipy.sparse as sp
+
+    indptr, indices, data = op
+    start = indptr[rows]
+    counts = indptr[rows + 1] - start
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    entries = np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], counts)
+    n, d = below.shape
+    P_rows = sp.csr_matrix((data[entries], indices[entries], ptr), shape=(rows.size, n))
+    if cols is None:
+        return propagate(P_rows, below)
+    if ptr[-1] * d > n * cols.size:
+        # the rows' multiply-adds over all d columns cost more than
+        # copying the columns out of ``below`` first
+        return propagate(P_rows, np.take(below, cols, axis=1))
+    return propagate(P_rows, below)[:, cols]
+
+
+def _recipes(g: SparseGraph, X: np.ndarray, active: tuple) -> tuple:
+    """Each active block's ``terms`` and ``hops`` entry (see
+    SignalDictionary).  Per operator, the powers below the top one its
+    recipes name are computed once and shared, P^0 X being X itself
+    under both operators; each is read-only."""
+    terms, hops = {}, {}
     for op, make in _OPERATORS.items():
-        named = {k for b in active if b.operator == op for k in b.powers}
-        if 0 in named:
-            power[op, 0] = X
-        top = max(named, default=0)
+        blocks = [b for b in active if b.operator == op]
+        top = max((k for b in blocks for k in b.powers), default=0)
+        power, hop = {0: X}, ()
         if top:
             P = make(g)
-            signal = X
-            for k in range(1, top + 1):
-                signal = propagate(P, signal)
-                if k in named:
-                    signal.flags.writeable = False
-                    power[op, k] = signal
-    return power
+            hop = (P.indptr, P.indices, P.data)
+            for k in range(1, top):
+                power[k] = propagate(P, power[k - 1])
+            for a in (*hop, *power.values()):
+                a.flags.writeable = False
+        for b in blocks:
+            terms[b] = tuple(power[k] if k in power else power[k - 1] for k in b.powers)
+            hops[b] = hop if top in b.powers else ()
+    return tuple(terms[b] for b in active), tuple(hops[b] for b in active)
 
 
 def build_dictionary(g: SparseGraph, X: np.ndarray, active_blocks=None) -> SignalDictionary:
     """Build the dictionary for the given active block subset (default: all nine).
 
-    Copies X once, computes each operator power the active blocks'
-    recipes name once, by iterated sparse products, and keeps only those.
-    Each block's row scale comes from its whole un-normalized block (a
-    difference is formed from the un-normalized powers), in canonical
-    block order; no n x p matrix is allocated.
+    Copies X once and, by iterated sparse products, each operator power
+    below the top one the active blocks' recipes name; the top power is
+    read through one hop.  Each block's row scale comes from its whole
+    un-normalized block (a difference is formed from the un-normalized
+    powers), in canonical block order, computed over row blocks of about
+    ``_ROW_BLOCK_BYTES``: per-row arithmetic, so bitwise the same as over
+    the whole block.  No n x p array, top power or other n x d temporary
+    is allocated.
     """
     X = np.array(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != g.n:
@@ -174,19 +231,20 @@ def build_dictionary(g: SparseGraph, X: np.ndarray, active_blocks=None) -> Signa
     X.flags.writeable = False
 
     active = canonical_blocks(BLOCKS if active_blocks is None else active_blocks)
-    power = _powers(g, X, active)
-    terms = tuple(tuple(power[b.operator, k] for k in b.powers) for b in active)
+    terms, hops = _recipes(g, X, active)
+    step = max(1, _ROW_BLOCK_BYTES // max(8 * X.shape[1], 1))
     scale = np.zeros((g.n, len(active)))
-    for k, (a, *b) in enumerate(terms):
-        # row-L2 normalize; zero rows stay zero: no epsilon inflation of
-        # no-evidence rows.  The squares are np.linalg.norm(block, axis=1)'s
-        # own operations, made in one n x d temporary.
-        sq = a - b[0] if b else a.copy()
-        sq *= sq
-        norms = np.sqrt(np.add.reduce(sq, axis=1))
-        del sq
-        np.divide(1.0, norms, out=scale[:, k], where=norms > 0)
-    return _assemble(terms, scale, X.shape[1], active)
+    for k in range(len(active)):
+        for start in range(0, g.n, step):
+            stop = min(start + step, g.n)
+            # row-L2 normalize; zero rows stay zero: no epsilon inflation of
+            # no-evidence rows.  The squares are np.linalg.norm(block, axis=1)'s
+            # own operations, made row block by row block.
+            sq = _entries(terms[k], hops[k], np.arange(start, stop))
+            sq *= sq
+            norms = np.sqrt(np.add.reduce(sq, axis=1))
+            np.divide(1.0, norms, out=scale[start:stop, k], where=norms > 0)
+    return _assemble(terms, hops, scale, X.shape[1], active)
 
 
 def canonical_blocks(active_blocks) -> tuple:
@@ -198,8 +256,8 @@ def canonical_blocks(active_blocks) -> tuple:
     return tuple(sorted(active, key=lambda b: b.index))
 
 
-def _assemble(terms, scale, d, active) -> SignalDictionary:
+def _assemble(terms, hops, scale, d, active) -> SignalDictionary:
     scale.flags.writeable = False
     coord_block = np.repeat(np.array([b.index for b in active], dtype=np.int64), d)
     coord_block.flags.writeable = False
-    return SignalDictionary(terms=terms, scale=scale, coord_block=coord_block, d=d, active=active)
+    return SignalDictionary(terms, hops, scale, coord_block, d, active)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphsig.dictionary import (
+    _ROW_BLOCK_BYTES,
     BLOCK_NAMES,
     BLOCKS,
     BlockId,
@@ -257,9 +258,72 @@ def test_recipe_subsets_gather_the_eager_matrix(names):
     check_gathers(9, 3, names, seed=1, binary=False, zero=[4], rows=[8, 1, 1, 3], cols=cols)
 
 
+@pytest.mark.parametrize(
+    "names, hopped",
+    [
+        (BLOCK_NAMES, ["Prow3X", "Psym2X"]),
+        (tuple(n for n in BLOCK_NAMES if n != "Prow3X"), ["Prow2X", "ProwX-Prow2X", "Psym2X"]),
+    ],
+    ids=["all", "no-p3x"],
+)
+def test_row_blocked_scales_and_hop_reads_are_the_eager_matrix(names, hopped):
+    d = 24
+    n = 3 * (_ROW_BLOCK_BYTES // (8 * d)) + 5  # the scale pass takes 4 row blocks
+    rng = np.random.default_rng(17)
+    g = build_graph(n, rng.integers(0, n - 1, size=(3 * n, 2)))  # node n - 1 is isolated
+    X = rng.standard_normal((n, d))
+    X[rng.choice(n, size=40, replace=False)] = 0.0
+    D = build_dictionary(g, X, names)
+    # each operator's top power is read through a hop
+    assert [b.name for b, hop in zip(D.active, D.hops, strict=True) if hop] == hopped
+    oracle = eager_F0(g, X, names)
+    assert D.F0.tobytes() == oracle.tobytes()
+    cols = rng.permutation(D.p)[: D.p // 3]
+    # few rows pick their columns from whole hop rows; many take them first
+    for rows in (rng.integers(0, n, size=200), rng.integers(0, n, size=2 * n)):
+        rows[:2] = n - 1
+        assert np.array_equal(D.gather(rows, cols), oracle[np.ix_(rows, cols)])
+    for op in D.hops:
+        assert not any(a.flags.writeable for a in op)
+
+
+def test_build_makes_no_top_power_and_no_n_by_d_temporary():
+    n, d = 8 * (_ROW_BLOCK_BYTES // (8 * 64)), 64  # a power is 8 row blocks
+    rng = np.random.default_rng(4)
+    g = build_graph(n, rng.integers(0, n, size=(2 * n, 2)))
+    X = rng.standard_normal((n, d))
+    build_dictionary(*small_instance())  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        D = build_dictionary(g, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    power = n * d * 8
+    operators = sum(
+        P.indptr.nbytes + P.indices.nbytes + P.data.nbytes
+        for P in (row_operator(g), sym_operator(g))
+    )
+    assert held_powers(D) == 4  # X, P_row X, P_row^2 X, P_sym X
+    held = held_powers(D) * power + operators + D.scale.nbytes + D.coord_block.nbytes
+    assert peak <= held + 4 * _ROW_BLOCK_BYTES < held + power
+
+
 def named_powers(D) -> int:
     """The distinct powers P^k X the active recipes name, X counted once."""
     return len({(b.operator if k else "", k) for b in D.active for k in b.powers})
+
+
+def held_powers(D) -> int:
+    """The named powers, minus each operator's top power, plus the power
+    below it where no block names that power."""
+    held = {(b.operator if k else "", k) for b in D.active for k in b.powers}
+    for op in ("row", "sym"):
+        top = max((k for o, k in held if o == op), default=0)
+        if top:
+            held.remove((op, top))
+            held.add((op if top > 1 else "", top - 1))
+    return len(held)
 
 
 def held_arrays(D) -> list:
@@ -286,7 +350,7 @@ def test_dictionary_holds_only_the_powers_its_recipes_name():
         for subset in itertools.combinations(BLOCK_NAMES, r):
             D = build_dictionary(g, X, subset)
             *powers, scale, _ = held_arrays(D)
-            assert sum(a.nbytes for a in powers) == named_powers(D) * n * d * 8
+            assert sum(a.nbytes for a in powers) == held_powers(D) * n * d * 8
             assert scale.nbytes == n * len(D.active) * 8
     assert len(held_arrays(build_dictionary(g, X, ("Prow3X",)))) == 3
 

@@ -1047,6 +1047,21 @@ KNOWN_VARIANTS = "known: full, raw_only, no_high_pass, no_p3x, no_sym, pca_only,
             "graphsig ablate: stage configure: variant 'full' given twice",
             id="variant-given-twice",
         ),
+        pytest.param(
+            ["run", *DATA, "--blocks", ","],
+            "graphsig run: stage configure: --blocks ',' names no block",
+            id="blocks-name-nothing",
+        ),
+        pytest.param(
+            ["ablate", *DATA, "--variants", " , "],
+            "graphsig ablate: stage configure: --variants ' , ' names no variant",
+            id="variants-name-nothing",
+        ),
+        pytest.param(
+            ["ablate", *DATA, "--variants", ""],
+            "graphsig ablate: stage configure: --variants '' names no variant",
+            id="variants-empty",
+        ),
     ],
 )
 def test_cli_name_error_line(argv, line, disk_dataset, bare_snapshot, tmp_path, capsys):
