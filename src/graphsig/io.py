@@ -49,10 +49,9 @@ def save_features_binary(path, X) -> None:
         fh.write(X.astype("<f4", copy=False).tobytes(order="C"))
 
 
-def save_features_csv(path, X, names=None) -> None:
+def save_features_csv(path, X) -> None:
     X = np.asarray(X, dtype=np.float64)
-    names = names if names is not None else [f"f{j}" for j in range(X.shape[1])]
-    write_csv(path, names, X)
+    write_csv(path, [f"f{j}" for j in range(X.shape[1])], X)
 
 
 def _load_features_csv(path) -> np.ndarray:
@@ -89,13 +88,16 @@ def _load_features_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _load_features_binary(path) -> np.ndarray:
+def load_features(path) -> np.ndarray:
+    """Load features from CSV or the packed binary container (sniffed);
+    every entry must be finite."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FEATURE_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        n, d = struct.unpack("<QQ", fh.read(16))
-        payload = fh.read()
+        binary = fh.read(4) == FEATURE_MAGIC
+        if binary:
+            n, d = struct.unpack("<QQ", fh.read(16))
+            payload = fh.read()
+    if not binary:
+        return _load_features_csv(path)
     expected = n * d * 4
     if len(payload) != expected:
         raise ValueError(
@@ -108,16 +110,6 @@ def _load_features_binary(path) -> np.ndarray:
         row, col = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"{path}: non-finite feature value at row {row}, column {col}")
     return X
-
-
-def load_features(path) -> np.ndarray:
-    """Load features from CSV or the packed binary container (sniffed);
-    every entry must be finite."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == FEATURE_MAGIC:
-        return _load_features_binary(path)
-    return _load_features_csv(path)
 
 
 # -------------------------------------------------------------------- labels
@@ -300,8 +292,6 @@ def jsonable(obj):
         return obj
     if isinstance(obj, np.ndarray):
         return jsonable(obj.tolist())
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(dataclasses.asdict(obj))
     return obj
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -174,6 +175,20 @@ def test_nonfinite_features_rejected_with_position():
     X[3, 1] = np.nan
     with pytest.raises(ValueError, match="row 3, column 1"):
         build_dictionary(g, X)
+
+
+@pytest.mark.parametrize(
+    "X, blocks, message",
+    [
+        (np.ones((2, 2)), None, "features must be (n=3, d), got (2, 2)"),
+        (np.ones(3), None, "features must be (n=3, d), got (3,)"),
+        (np.ones((3, 2)), (), "active_blocks must be nonempty"),
+    ],
+    ids=["too-few-rows", "one-dimensional", "no-block"],
+)
+def test_build_rejects_features_of_another_shape_and_an_empty_block_set(X, blocks, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_dictionary(build_graph(3, [(0, 1)]), X, blocks)
 
 
 def test_duplicate_active_blocks_collapse():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,6 +14,7 @@ from graphsig.graph import (
     save_edge_list,
     sym_operator,
 )
+from graphsig.synth import sbm_graph
 
 
 def random_graph(rng, n, p=0.2):
@@ -82,6 +85,28 @@ def test_build_graph_equals_the_set_reference(case, as_array):
 def test_build_graph_rejects_malformed_pairs():
     with pytest.raises(ValueError, match="pairs"):
         build_graph(4, [(0, 1, 2)])
+
+
+def test_build_graph_rejects_a_negative_node_count():
+    with pytest.raises(ValueError, match="^node count must be nonnegative, got -1$"):
+        build_graph(-1, [])
+
+
+@pytest.mark.parametrize(
+    "sizes, p_within, p_between, message",
+    [
+        ((3, 0), 0.5, 0.1, "every block needs at least one node"),
+        ((3, 3), 1.5, 0.1, "edge probabilities must lie in [0, 1]"),
+        ((3, 3), 0.5, -0.1, "edge probabilities must lie in [0, 1]"),
+        ((3, 3), float("nan"), 0.1, "edge probabilities must lie in [0, 1]"),
+    ],
+    ids=["empty-block", "p-within-above-1", "p-between-below-0", "p-within-nan"],
+)
+def test_sbm_graph_rejects_an_empty_block_and_a_probability_outside_0_1(
+    sizes, p_within, p_between, message
+):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sbm_graph(sizes, p_within, p_between)
 
 
 def test_row_operator_row_stochastic():

@@ -83,6 +83,37 @@ def test_feature_binary_errors(tmp_path):
         load_features(str(wrong))
 
 
+def test_feature_binary_is_read_through_one_open(tmp_path, monkeypatch):
+    path = str(tmp_path / "x.bin")
+    save_features_binary(path, np.arange(6.0).reshape(3, 2))
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(graphsig.io, "open", counting_open, raising=False)
+    assert np.array_equal(load_features(path), np.arange(6.0).reshape(3, 2))
+    assert opened == [path]
+
+
+def test_feature_binary_writer_rejects_a_matrix_that_is_not_2d(tmp_path):
+    path = tmp_path / "x.bin"
+    with pytest.raises(ValueError, match="^feature matrix must be 2-D$"):
+        save_features_binary(str(path), np.ones(3))
+    assert not path.exists()
+
+
+def test_feature_csv_skips_blank_lines_between_rows(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text("f0,f1\n1,2\n\n3,4\n  \n5,6\n\n")
+    assert np.array_equal(load_features(str(p)), [[1, 2], [3, 4], [5, 6]])
+    # line numbers count the skipped lines
+    p.write_text("1,2\n\n3,x\n")
+    with pytest.raises(ValueError, match=r"x\.csv:3: non-numeric"):
+        load_features(str(p))
+
+
 def test_feature_csv_line_errors(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("f0,f1\n1,2\n3\n")
@@ -220,6 +251,9 @@ def test_jsonable_handles_special_values():
             "ninf": float("-inf"),
             "np_int": np.int64(3),
             "np_arr": np.array([1.5, 2.5]),
+            "np_f32": np.float32(1.5),
+            "np_f32_nan": np.float32("nan"),
+            "np_f32_ninf": np.float32("-inf"),
         }
     )
     assert out["nan"] == "nan"
@@ -227,6 +261,9 @@ def test_jsonable_handles_special_values():
     assert out["ninf"] == "-inf"
     assert out["np_int"] == 3
     assert out["np_arr"] == [1.5, 2.5]
+    assert out["np_f32"] == 1.5 and type(out["np_f32"]) is float
+    assert out["np_f32_nan"] == "nan"
+    assert out["np_f32_ninf"] == "-inf"
     json.dumps(out)  # strictly serializable
 
 
@@ -574,6 +611,30 @@ def test_cli_atlas_eval_nodes_override(run_out, disk_dataset, tmp_path):
     assert code == 0
     with open(os.path.join(out, "fingerprint.json")) as fh:
         assert json.load(fh)["n_eval"] == 3
+
+
+def test_cli_eval_train_reads_the_snapshot_train_rows(run_out, disk_dataset, tmp_path):
+    snap = os.path.join(run_out, "repeat_00", "snapshot.json")
+    with open(snap) as fh:
+        train_idx = json.load(fh)["train_idx"]
+    ids = tmp_path / "train.txt"
+    ids.write_text("".join(f"{i}\n" for i in train_idx))
+    outs = []
+    for flag, value in (("--eval", "train"), ("--eval-nodes", str(ids))):
+        out = str(tmp_path / flag.strip("-"))
+        assert main([
+            "atlas",
+            "--edges", disk_dataset["edges"], "--features", disk_dataset["features"],
+            "--labels", disk_dataset["labels"],
+            "--snapshot", snap, flag, value, "--out", out,
+        ]) == 0
+        outs.append(out)
+    with open(os.path.join(outs[0], "fingerprint.json")) as fh:
+        assert json.load(fh)["n_eval"] == len(train_idx)
+    for name in ("atlas.csv", "fingerprint.json"):
+        assert filecmp.cmp(
+            os.path.join(outs[0], name), os.path.join(outs[1], name), shallow=False
+        ), name
 
 
 def test_cli_atlas_missing_split_info(disk_dataset, tmp_path, capsys):
