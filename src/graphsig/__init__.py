@@ -13,7 +13,8 @@ the ``graphsig.io`` module and ``__version__``.
 
 import os as _os
 
-# BLAS thread cap; must land before numpy initializes its backend.
+# BLAS thread cap; must land before numpy initializes its backend.  It
+# overrides the backends' own variables, so the one knob sets the count.
 _threads = _os.environ.get("GRAPHSIG_NUM_THREADS")
 if _threads:
     for _var in (
@@ -22,7 +23,7 @@ if _threads:
         "MKL_NUM_THREADS",
         "NUMEXPR_NUM_THREADS",
     ):
-        _os.environ.setdefault(_var, _threads)
+        _os.environ[_var] = _threads
 
 from . import io
 from .conventions import PACKAGE_VERSION as __version__

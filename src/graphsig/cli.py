@@ -1,4 +1,4 @@
-"""Command-line pipeline: run | ablate | prototype | fingerprint | paired | atlas.
+"""Command-line pipeline: run | ablate | prototype | fingerprint | paired.
 
 Every verb reads plain files, writes only under --out, and is
 deterministic for identical inputs.  A verb is a generator that yields
@@ -383,12 +383,11 @@ def cmd_prototype(args):
     )
 
 
-def _atlas_like(args):
+def cmd_fingerprint(args):
     yield "load-dataset"
     bundle = load_dataset(args.edges, args.features, args.labels, name=args.name)
     yield "load-snapshot"
-    scaffold = load_snapshot(args.snapshot, bundle.graph, bundle.X)
-    extra = scaffold.extra
+    scaffold, extra = load_snapshot(args.snapshot, bundle.graph, bundle.X)
 
     yield "select-eval-nodes"
     if args.eval_nodes:
@@ -503,16 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--out", required=True)
     pp.set_defaults(fn=cmd_prototype)
 
-    for verb in ("fingerprint", "atlas"):
-        pf = sub.add_parser(
-            verb, help="recompute atlas + fingerprint from a snapshot"
-        )
-        _add_dataset_args(pf)
-        pf.add_argument("--snapshot", required=True)
-        pf.add_argument("--eval", choices=("train", "val", "test"), default="test")
-        pf.add_argument("--eval-nodes", default=None, help="file of node ids, one per line")
-        pf.add_argument("--out", required=True)
-        pf.set_defaults(fn=_atlas_like)
+    pf = sub.add_parser("fingerprint", help="recompute atlas + fingerprint from a snapshot")
+    _add_dataset_args(pf)
+    pf.add_argument("--snapshot", required=True)
+    pf.add_argument("--eval", choices=("train", "val", "test"), default="test")
+    pf.add_argument("--eval-nodes", default=None, help="file of node ids, one per line")
+    pf.add_argument("--out", required=True)
+    pf.set_defaults(fn=cmd_fingerprint)
 
     pd = sub.add_parser("paired", help="paired statistics between two runs")
     pd.add_argument("--a", default=None, help="results.json of run A")

@@ -1,13 +1,15 @@
 """Supervised Fisher scoring and top-K coordinate selection.
 
 Per coordinate j the score is the ratio of between-class separation to
-within-class scatter over the training nodes,
+within-class scatter over the training rows it is given,
 
     q_j = sum_c n_c (mu_cj - mu_j)^2
           / (sum_c sum_{i in c} (F0_ij - mu_cj)^2 + eps),
 
 with class means mu_cj and the overall training mean mu_j.  Classes with
-no training members simply drop out of both sums.  Selection keeps the
+no training members simply drop out of both sums.  The caller gathers
+the rows (``restrict`` over every coordinate) and has checked their node
+ids; ``fisher_scores`` reads no dictionary.  Selection keeps the
 K_eff = min(K, p) largest scores, ties broken by ascending coordinate
 index so results are deterministic.
 """
@@ -18,7 +20,6 @@ import numpy as np
 
 from .conventions import EPSILON
 from .dictionary import BLOCKS, SignalDictionary
-from .graph import node_ids
 
 
 @dataclass(frozen=True)
@@ -29,23 +30,13 @@ class FisherSelection:
     k_eff: int
 
 
-def fisher_scores(dictionary, train_idx, y, epsilon: float = EPSILON) -> np.ndarray:
-    """Fisher score per dictionary coordinate, from training nodes only:
-    ``train_idx`` is nonempty and passes ``graph.node_ids`` with labels ``y``.
-
-    ``dictionary`` is a SignalDictionary, whose training rows are gathered
-    (every coordinate, no other row), or an explicit n x p matrix."""
-    y = np.asarray(y)
-    if isinstance(dictionary, SignalDictionary):
-        train_idx = node_ids(train_idx, dictionary.n, labels=y)
-        F_tr = dictionary.gather(train_idx, np.arange(dictionary.p))
-    else:
-        F0 = np.asarray(dictionary)
-        train_idx = node_ids(train_idx, F0.shape[0], labels=y)
-        F_tr = F0[train_idx]
-    if train_idx.size == 0:
-        raise ValueError("train_idx must be nonempty")
-    y_tr = y[train_idx]
+def fisher_scores(F_tr, y_tr, epsilon: float = EPSILON) -> np.ndarray:
+    """Fisher score per column of the training rows ``F_tr`` (nonempty),
+    whose labels are ``y_tr``, one per row."""
+    F_tr = np.asarray(F_tr)
+    y_tr = np.asarray(y_tr)
+    if F_tr.shape[0] == 0:
+        raise ValueError("F_tr must be nonempty")
 
     mu = F_tr.mean(axis=0)
     between = np.zeros(F_tr.shape[1])

@@ -320,7 +320,7 @@ def save_snapshot(path, scaffold: FittedScaffold, extra=None) -> None:
         "train_idx": scaffold.train_idx.tolist(),
         "fisher_idx": scaffold.fisher_idx.tolist(),
         "labels": scaffold.labels.tolist(),
-        "n_coordinates": scaffold.n_coordinates,
+        "n_coordinates": scaffold.dictionary.p,
         "conventions": conventions(),
     }
     if extra:
@@ -328,13 +328,13 @@ def save_snapshot(path, scaffold: FittedScaffold, extra=None) -> None:
     write_json(path, payload)
 
 
-def load_snapshot(path, g, X) -> FittedScaffold:
+def load_snapshot(path, g, X) -> tuple:
     """Refit the scaffold a snapshot records on its dataset (g, X).
 
-    The result is ``fit`` on the recorded inputs, so on the same build it
-    equals the scaffold that was saved, bit for bit.  The snapshot's
-    ``extra`` dict (empty when absent) comes back as the scaffold's
-    ``extra``, so callers need not parse the file again.  A file that is
+    Returns (scaffold, extra).  The scaffold is ``fit`` on the recorded
+    inputs, so on the same build it equals the scaffold that was saved,
+    bit for bit; ``extra`` is the snapshot's ``extra`` dict (empty when
+    absent), so callers need not parse the file again.  A file that is
     not a snapshot object, lacks a key or config field, holds a config
     that is not an object or names an unknown block, or labels that are
     not integers, or whose train or Fisher rows fail ``graph.node_ids``
@@ -375,9 +375,9 @@ def load_snapshot(path, g, X) -> FittedScaffold:
     train_idx = node_ids(train_idx, g.n, f"{path}: train_idx", labels)
     fisher_idx = node_ids(fisher_idx, g.n, f"{path}: fisher_idx", labels)
     scaffold = fit(g, X, labels, train_idx, config, fisher_idx=fisher_idx)
-    if scaffold.n_coordinates != width:
+    if scaffold.dictionary.p != width:
         raise ValueError(
-            f"{path}: dictionary has {scaffold.n_coordinates} coordinates, snapshot "
+            f"{path}: dictionary has {scaffold.dictionary.p} coordinates, snapshot "
             f"was built over {width}"
         )
-    return dataclasses.replace(scaffold, extra=payload.get("extra", {}))
+    return scaffold, payload.get("extra", {})

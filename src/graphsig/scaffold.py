@@ -157,6 +157,9 @@ def make_split(y, spec: SplitSpec):
 
 @dataclass(frozen=True)
 class FittedScaffold:
+    """One fit: what it read and what it fitted, nothing else (a snapshot
+    file's ``extra`` comes back beside it from ``io.load_snapshot``)."""
+
     config: HyperConfig
     selection: object  # FisherSelection
     subspaces: list
@@ -168,12 +171,6 @@ class FittedScaffold:
     fisher_idx: np.ndarray  # the rows the Fisher scores read
     labels: np.ndarray  # class id per node, -1 where the fit read no label
     dictionary: SignalDictionary  # the matrix the selection indexes; rows() reads it
-    extra: dict = field(default_factory=dict)  # a loaded snapshot's "extra"
-
-    @property
-    def n_coordinates(self) -> int:
-        """Width of the dictionary the selection was made from."""
-        return int(self.selection.scores.shape[0])
 
     def rows(self, idx) -> np.ndarray:
         """The selected coordinates of nodes ``idx``, read from the dictionary."""
@@ -308,7 +305,8 @@ def grid_searches(dictionary: SignalDictionary, y, train, val, grids, fisher_idx
     for w in sweep:
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"w must be in [0, 1], got {w}")
-    q = fisher_scores(dictionary, fisher_idx, y)
+    # the Fisher rows over every coordinate, ids checked above
+    q = fisher_scores(restrict(dictionary, np.arange(dictionary.p), fisher_idx)[0], y[fisher_idx])
     y_tr = y[train]
     y_val = y[val]
     classes = np.unique(y_tr)

@@ -115,7 +115,7 @@ def test_A02_fisher_matches_naive():
         y = rng.integers(0, 3, size=n)
         train = np.sort(rng.choice(n, size=int(rng.integers(4, n + 1)), replace=False))
         y[train[:2]] = [0, 1]  # at least two classes among training nodes
-        got = fisher_scores(F, train, y)
+        got = fisher_scores(F[train], y[train])
         worst = max(worst, float(np.max(np.abs(got - naive_fisher(F, train, y)))))
     ok = worst <= 1e-10
     report("A2", "Fisher scores match naive per-coordinate evaluation x100", ok,
@@ -350,7 +350,7 @@ def test_A10_intervention_variants():
 
     # independent classifier straight from row-normalized features
     Xn = _row_normalize(X)
-    q = fisher_scores(Xn, train, y)
+    q = fisher_scores(Xn[train], y[train])
     sel = select_top_k(q, base["k"])
     Fn = Xn[:, sel.selected]
     y_tr = y[train]

@@ -337,7 +337,7 @@ def test_snapshot_round_trip(tmp_path, disk_dataset):
     sc = fit(g, X, y, train, HyperConfig(k=25, r_max=3, eta=0.95, alphas=(0.1, 1.0), w=0.6))
     path = str(tmp_path / "snap.json")
     save_snapshot(path, sc, extra={"val_idx": val.tolist(), "test_idx": test.tolist()})
-    loaded = load_snapshot(path, g, X)
+    loaded = load_snapshot(path, g, X)[0]
     assert loaded.config == sc.config
     assert np.array_equal(loaded.selection.selected, sc.selection.selected)
     assert np.array_equal(loaded.classes, sc.classes)
@@ -356,9 +356,8 @@ def test_snapshot_extra_comes_back_on_the_scaffold(tmp_path, disk_dataset):
     extra = {"config_hash": "abc", "val_idx": [1, 2]}
     save_snapshot(str(tmp_path / "a.json"), sc, extra=extra)
     save_snapshot(str(tmp_path / "b.json"), sc)
-    assert sc.extra == {}
-    assert load_snapshot(str(tmp_path / "a.json"), g, X).extra == extra
-    assert load_snapshot(str(tmp_path / "b.json"), g, X).extra == {}
+    assert load_snapshot(str(tmp_path / "a.json"), g, X)[1] == extra
+    assert load_snapshot(str(tmp_path / "b.json"), g, X)[1] == {}
 
 
 def test_snapshot_zero_rank_class(tmp_path):
@@ -378,7 +377,7 @@ def test_snapshot_zero_rank_class(tmp_path):
     assert sc.subspaces[1].r == 0
     path = str(tmp_path / "snap.json")
     save_snapshot(path, sc)
-    loaded = load_snapshot(path, g, X)
+    loaded = load_snapshot(path, g, X)[0]
     assert loaded.subspaces[1].r == 0
     assert loaded.subspaces[1].basis.shape == (sc.selection.k_eff, 0)
     a = predict(sc, sc.rows(np.arange(g.n)))[1]
@@ -459,7 +458,7 @@ def test_snapshot_refit_is_the_saved_scaffold(make, tmp_path):
     g, X, sc = make()
     path = str(tmp_path / "snap.json")
     save_snapshot(path, sc)
-    loaded = load_snapshot(path, g, X)
+    loaded = load_snapshot(path, g, X)[0]
     assert_same_fields(loaded, sc)
     for a, b in zip(
         predict(loaded, loaded.rows(np.arange(g.n))),
@@ -507,7 +506,7 @@ def test_config_names_the_dictionary_it_was_fit_on(blocks):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "snap.json")
         save_snapshot(path, searched)
-        loaded = load_snapshot(path, g, X)
+        loaded = load_snapshot(path, g, X)[0]
     for a, b in zip(
         predict(searched, searched.rows(test)), predict(loaded, loaded.rows(test)), strict=True
     ):
@@ -602,7 +601,7 @@ def test_cli_atlas_eval_nodes_override(run_out, disk_dataset, tmp_path):
     nodes.write_text("0\n1\n2\n")
     out = str(tmp_path / "atlas")
     code = main([
-        "atlas",
+        "fingerprint",
         "--edges", disk_dataset["edges"], "--features", disk_dataset["features"],
         "--labels", disk_dataset["labels"],
         "--snapshot", os.path.join(run_out, "repeat_00", "snapshot.json"),
@@ -623,7 +622,7 @@ def test_cli_eval_train_reads_the_snapshot_train_rows(run_out, disk_dataset, tmp
     for flag, value in (("--eval", "train"), ("--eval-nodes", str(ids))):
         out = str(tmp_path / flag.strip("-"))
         assert main([
-            "atlas",
+            "fingerprint",
             "--edges", disk_dataset["edges"], "--features", disk_dataset["features"],
             "--labels", disk_dataset["labels"],
             "--snapshot", snap, flag, value, "--out", out,
@@ -949,7 +948,7 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
             id="empty-eval-nodes-file",
         ),
         pytest.param(
-            ["atlas", *DATA, "--snapshot", "{empty_val}", "--eval", "val"],
+            ["fingerprint", *DATA, "--snapshot", "{empty_val}", "--eval", "val"],
             "select-eval-nodes",
             id="snapshot-with-empty-val",
         ),
@@ -968,12 +967,12 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
             id="snapshot-labels-length",
         ),
         pytest.param(
-            ["atlas", *DATA, "--snapshot", "{unlabeled_train}"],
+            ["fingerprint", *DATA, "--snapshot", "{unlabeled_train}"],
             "load-snapshot",
             id="snapshot-unlabeled-train-row",
         ),
         pytest.param(
-            ["atlas", *DATA, "--snapshot", "{outside_train}"],
+            ["fingerprint", *DATA, "--snapshot", "{outside_train}"],
             "load-snapshot",
             id="snapshot-train-row-outside-graph",
         ),
@@ -1161,13 +1160,10 @@ PROTOTYPE = ["prototype", "--edges", "{edges}", "--features", "{features}", "--m
             [*PROTOTYPE, "rewire"], ("load-dataset", "prototype-rewire", "write"),
             id="prototype-rewire",
         ),
-        *(
-            pytest.param(
-                [verb, *DATA, "--snapshot", "{snapshot}"],
-                ("load-dataset", "load-snapshot", "select-eval-nodes", "atlas"),
-                id=verb,
-            )
-            for verb in ("fingerprint", "atlas")
+        pytest.param(
+            ["fingerprint", *DATA, "--snapshot", "{snapshot}"],
+            ("load-dataset", "load-snapshot", "select-eval-nodes", "atlas"),
+            id="fingerprint",
         ),
         pytest.param(
             ["paired", "--a", "{results}", "--b", "{results}"],

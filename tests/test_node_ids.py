@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from graphsig.atlas import node_atlas
 from graphsig.cli import main
-from graphsig.fisher import fisher_scores, restrict
+from graphsig.fisher import restrict
 from graphsig.graph import node_ids, save_edge_list
 from graphsig.io import load_snapshot, save_features_csv, save_labels, save_snapshot
 from graphsig.scaffold import HyperConfig, SearchGrids, SplitSpec, fit, grid_search, make_split
@@ -63,7 +63,6 @@ def files(tmp_path_factory):
 ENTRY_POINTS = {
     "restrict": ("", None, False, True),
     "scaffold.rows": ("", None, False, True),
-    "fisher_scores": ("", "", True, True),
     "node_atlas": ("", "", True, True),
     "node_atlas with scores": ("", "", True, True),
     "grid_search train": ("train ", "train: ", True, True),
@@ -116,7 +115,6 @@ def _entry_point(entry, files, capsys):
     return {
         "restrict": (val, lambda ids, y: restrict(D, [0, 1], ids)),
         "scaffold.rows": (val, lambda ids, y: sc.rows(ids)),
-        "fisher_scores": (train, lambda ids, y: fisher_scores(D, ids, y)),
         "node_atlas": (val, lambda ids, y: node_atlas(sc, ids, y, g.degree)),
         "node_atlas with scores": (val, lambda ids, y: node_atlas(sc, ids, y, g.degree, scores)),
         "grid_search train": (train, lambda ids, y: grid_search(D, y, ids, val, point)),

@@ -188,7 +188,7 @@ def test_blas_threads_leave_the_configs_and_accuracies_unchanged(tmp_path):
     save_labels(tmp_path / "labels.csv", y)
     save_edge_list(tmp_path / "edges.csv", g.edges)
     src = os.path.dirname(os.path.dirname(os.path.abspath(graphsig.__file__)))
-    # a BLAS setting already in the environment would win over GRAPHSIG_NUM_THREADS
+    # no inherited BLAS setting: only GRAPHSIG_NUM_THREADS differs between the runs
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     picked = []
@@ -207,3 +207,17 @@ def test_blas_threads_leave_the_configs_and_accuracies_unchanged(tmp_path):
                 for r in json.load(fh)["repeats"]
             ])
     assert picked[0] == picked[1]
+
+
+def test_graphsig_num_threads_overrides_a_blas_setting_already_set():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphsig.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    code = "import os, graphsig; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    for graphsig_threads, want in (("1", "1"), (None, "2")):  # unset: nothing is touched
+        run_env = env if graphsig_threads is None else dict(env, GRAPHSIG_NUM_THREADS=graphsig_threads)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=run_env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.split() == [want]

@@ -260,7 +260,7 @@ def loop_grid_search(dictionary, y, train, val, grids, fused):
     """The search point by point: per alpha set one fit_ridge and two
     ridge_scores, per (r_max, eta) point two pca_residuals.  Appends the
     (R~_pca, R~_ridge, w) of every fuse to ``fused``."""
-    q = fisher_scores(dictionary, train, y)
+    q = fisher_scores(restrict(dictionary, np.arange(dictionary.p), train)[0], y[train])
     y_tr, y_val = y[train], y[val]
     classes = np.unique(y_tr)
     Y = scaffold_module._onehot(y_tr, classes)

@@ -3,8 +3,9 @@
 ``perfbench/spans.py`` wraps every ``(module, function)`` of its
 ``TARGETS`` table, and ``perfbench/worker.py`` calls
 ``graphsig.build_graph`` and ``graphsig.io.load_dataset`` after a bare
-``import graphsig``.  Removing or renaming one of them breaks the
-benchmark; these tests catch that in the unit suite.
+``import graphsig``; ``perfbench/workloads.py`` runs CLI verbs.
+Removing or renaming one of them breaks the benchmark; these tests
+catch that in the unit suite.
 """
 
 import importlib
@@ -17,15 +18,20 @@ from pathlib import Path
 import pytest
 
 import graphsig
+from graphsig.cli import build_parser
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
+def _load(path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def span_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return [(module, function) for module, function, _ in spans.TARGETS]
+    return [(module, function) for module, function, _ in _load(SPANS).TARGETS]
 
 
 @pytest.mark.parametrize("module, function", span_targets())
@@ -47,3 +53,17 @@ def test_bare_import_binds_what_the_worker_reads():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["True", "True"]
+
+
+def test_every_cli_step_the_benchmark_runs_parses(monkeypatch):
+    monkeypatch.syspath_prepend(str(SPANS.parent))  # workloads.py imports its sibling gen.py
+    workloads = _load(SPANS.parent / "workloads.py")
+    steps = [
+        argv
+        for workload in workloads.WORKLOADS.values()
+        if not workload.in_process
+        for argv in workloads.cli_steps(workload, ("e.csv", "f.bin", "l.csv"), "op")
+    ]
+    assert steps
+    for argv in steps:
+        assert build_parser().parse_args(argv).verb == argv[0]
