@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .atlas import dataset_fingerprint, emit_figure_data, node_atlas
-from .conventions import FORMAT_VERSION, PACKAGE_VERSION
+from .conventions import PACKAGE_VERSION
 from .dictionary import block_by_name
 from .io import (
     RunConfig,
@@ -370,12 +370,7 @@ def cmd_prototype(args):
     save_edge_list(edge_path, g2.edges)
     write_json(
         os.path.join(args.out, "processed_edges.json"),
-        dict(
-            info,
-            dataset=bundle.name,
-            code_version=PACKAGE_VERSION,
-            format_version=FORMAT_VERSION,
-        ),
+        dict(info, dataset=bundle.name, code_version=PACKAGE_VERSION),
     )
     print(
         f"prototype complete: {info['method']} "
@@ -433,7 +428,12 @@ def _load_results(path):
     for i, r in enumerate(res["repeats"]):
         if not isinstance(r, dict) or "test_accuracy" not in r:
             raise ValueError(f"{path}: repeat {i} lacks 'test_accuracy'")
-        run.append(SimpleNamespace(test_accuracy=r["test_accuracy"]))
+        acc = r["test_accuracy"]
+        if type(acc) not in (int, float):  # a bool's type is bool, not int
+            raise ValueError(
+                f"{path}: repeat {i} test_accuracy must be a number, got {json.dumps(acc)}"
+            )
+        run.append(SimpleNamespace(test_accuracy=acc))
     return res, run
 
 

@@ -14,8 +14,6 @@ PACKAGE_VERSION = "0.1.0"
 # sample (N-1) convention instead and says so where it does.
 STD_MODE = "population"
 
-FORMAT_VERSION = 1
-
 
 def conventions(split_mode: str | None = None) -> dict:
     """Convention switches embedded in report files."""

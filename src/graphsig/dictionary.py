@@ -166,21 +166,18 @@ def _entries(terms, hop, rows, cols=None) -> np.ndarray:
 
 def _hop(op, below, rows, cols=None) -> np.ndarray:
     """Rows ``rows`` and columns ``cols`` (None: all) of P @ ``below``, P
-    given by its CSR arrays ``op``: just those operator rows times
-    ``below``.  Each entry sums its row's stored entries in their CSR
-    order, as the whole sparse product does, so it is bitwise the same."""
+    given by its CSR arrays ``op``: scipy's slice of just those operator
+    rows, over the held arrays uncopied, times ``below``.  Each entry sums
+    its row's stored entries in their CSR order, as the whole sparse
+    product does, so it is bitwise the same."""
     import scipy.sparse as sp
 
     indptr, indices, data = op
-    start = indptr[rows]
-    counts = indptr[rows + 1] - start
-    ptr = np.concatenate(([0], np.cumsum(counts)))
-    entries = np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], counts)
     n, d = below.shape
-    P_rows = sp.csr_matrix((data[entries], indices[entries], ptr), shape=(rows.size, n))
+    P_rows = sp.csr_matrix((data, indices, indptr), shape=(n, n))[rows]
     if cols is None:
         return propagate(P_rows, below)
-    if ptr[-1] * d > n * cols.size:
+    if P_rows.nnz * d > n * cols.size:
         # the rows' multiply-adds over all d columns cost more than
         # copying the columns out of ``below`` first
         return propagate(P_rows, np.take(below, cols, axis=1))

@@ -328,6 +328,19 @@ def save_snapshot(path, scaffold: FittedScaffold, extra=None) -> None:
     write_json(path, payload)
 
 
+# each config field's JSON type, in HyperConfig order; a bool's type is bool, not int
+_CONFIG_TYPES = (
+    ("k", "an integer", lambda v: type(v) is int),
+    ("r_max", "an integer", lambda v: type(v) is int),
+    ("eta", "a number", lambda v: type(v) in (int, float)),
+    ("alphas", "a list of numbers",
+     lambda v: type(v) is list and all(type(a) in (int, float) for a in v)),
+    ("w", "a number", lambda v: type(v) in (int, float)),
+    ("active_blocks", "a list of strings",
+     lambda v: type(v) is list and all(type(b) is str for b in v)),
+)
+
+
 def load_snapshot(path, g, X) -> tuple:
     """Refit the scaffold a snapshot records on its dataset (g, X).
 
@@ -336,9 +349,10 @@ def load_snapshot(path, g, X) -> tuple:
     bit for bit; ``extra`` is the snapshot's ``extra`` dict (empty when
     absent), so callers need not parse the file again.  A file that is
     not a snapshot object, lacks a key or config field, holds a config
-    that is not an object or names an unknown block, or labels that are
-    not integers, or whose train or Fisher rows fail ``graph.node_ids``
-    with its labels fails, naming ``path``.
+    that is not an object, a config field of another JSON type or an
+    unknown block, or labels that are not integers, or whose train or
+    Fisher rows fail ``graph.node_ids`` with its labels fails, naming
+    ``path``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -358,6 +372,9 @@ def load_snapshot(path, g, X) -> tuple:
         config = payload["config"]
         if not isinstance(config, dict):
             raise ValueError(f"{path}: config must be an object, got {type(config).__name__}")
+        for key, kind, fits in _CONFIG_TYPES:
+            if not fits(value := config[key]):
+                raise ValueError(f"{path}: config {key} must be {kind}, got {json.dumps(value)}")
         config = HyperConfig.from_dict(config)
         keys = ("labels", "train_idx", "fisher_idx", "n_coordinates")
         labels, train_idx, fisher_idx, width = (payload[key] for key in keys)

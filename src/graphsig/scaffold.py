@@ -250,7 +250,7 @@ def grid_search(
     K the gather of the selected columns' train and val rows, one SVD
     per class, one ``pca_residuals`` call per row set over the
     subspaces of every (r_max, eta) point (one centering per class, one
-    projection per distinct class rank), one ``fit_ridge`` over the
+    projection per point and class), one ``fit_ridge`` over the
     distinct alphas of all alpha sets, and one cross product with the
     train rows per row set, which every alpha set's scores read; the
     truncation per (K, r_max, eta); and the w sweep only re-fuses
@@ -337,7 +337,7 @@ def grid_searches(dictionary: SignalDictionary, y, train, val, grids, fisher_idx
                     seen_ranks.add(ranks)
                     points.append((r_max, eta, subspaces))
         # every point's residuals from one call per row set: the calls
-        # share each class's centering and each (class, rank) projection
+        # share each class's centering
         stacked = [s for _, _, subspaces in points for s in subspaces]
         R_tr = pca_residuals(F_tr, stacked)
         R_val = pca_residuals(F_val, stacked)
@@ -412,8 +412,7 @@ def draw_splits(y, split_template: SplitSpec, n_repeats: int, fisher_mode: str) 
     splits = []
     for rep in range(n_repeats):
         seed = split_template.seed + rep
-        spec = dataclasses.replace(split_template, seed=seed, repeat=rep)
-        train, val, test = make_split(y, spec)
+        train, val, test = make_split(y, dataclasses.replace(split_template, seed=seed))
         if test.size == 0:
             raise ValueError(
                 f"repeat {rep} (seed {seed}) has no test nodes: the split "

@@ -127,13 +127,9 @@ def pca_residuals(F: np.ndarray, subspaces) -> np.ndarray:
 
     The rows are read C-ordered: the products round differently for
     another memory order, and a score must depend on the rows' values
-    only.  Work is shared between subspaces, so one call may score many
-    truncations of the same classes: the rows are centered, and their
-    squared norms taken, once per distinct ``center`` object, and the
-    projection is computed once per distinct basis memory (data pointer,
-    shape, strides) under that center.  A basis sliced to another rank
-    gets its own product, because a column slice of a wider product
-    rounds differently.
+    only.  The rows are centered, and their squared norms taken, once
+    per distinct ``center`` object; each subspace gets its own projection
+    (a column slice of a wider rank's would round differently).
     """
     F = np.ascontiguousarray(F, dtype=np.float64)
     by_center = {}  # id(center) -> column indices, in first-seen order
@@ -149,18 +145,10 @@ def pca_residuals(F: np.ndarray, subspaces) -> np.ndarray:
     for cols in by_center.values():
         np.subtract(F, subspaces[cols[0]].center, out=V)
         total = np.einsum("ij,ij->i", V, V)
-        scored = {}  # basis memory -> the column it was scored into
         for k in cols:
-            basis = subspaces[k].basis
-            key = (basis.__array_interface__["data"][0], basis.shape, basis.strides)
-            if subspaces[k].r == 0:
-                R[:, k] = total
-            elif key in scored:
-                R[:, k] = R[:, scored[key]]
-            else:
-                proj = V.dot(basis)
-                R[:, k] = total - np.einsum("ij,ij->i", proj, proj)
-                scored[key] = k
+            # a rank-0 basis is K x 0: its projection sums nothing
+            proj = V.dot(subspaces[k].basis)
+            R[:, k] = total - np.einsum("ij,ij->i", proj, proj)
     # the identity can go a hair negative in floating point
     np.clip(R, 0.0, None, out=R)
     return R

@@ -814,6 +814,21 @@ def test_cli_paired(run_out, disk_dataset, tmp_path):
         pytest.param(
             {"repeats": [{"seed": 0}]}, "repeat 0 lacks 'test_accuracy'", id="no-test-accuracy"
         ),
+        pytest.param(
+            {"repeats": [{"test_accuracy": True}, {"test_accuracy": 0.5}]},
+            "repeat 0 test_accuracy must be a number, got true",
+            id="boolean-test-accuracy",
+        ),
+        pytest.param(
+            {"repeats": [{"test_accuracy": 0.8}, {"test_accuracy": "0.5"}]},
+            'repeat 1 test_accuracy must be a number, got "0.5"',
+            id="string-test-accuracy",
+        ),
+        pytest.param(
+            {"repeats": [{"test_accuracy": None}, {"test_accuracy": 0.5}]},
+            "repeat 0 test_accuracy must be a number, got null",
+            id="null-test-accuracy",
+        ),
     ],
 )
 def test_cli_paired_names_a_malformed_results_file(payload, message, run_out, tmp_path, capsys):
@@ -900,10 +915,26 @@ def bare_snapshot(disk_dataset, tmp_path_factory):
         (lambda s: dict(s, config=[1, 2]), r"bad\.json: config must be an object, got list$"),
         (lambda s: dict(s, config=dict(s["config"], active_blocks=["X", "Bogus"])),
          r"bad\.json: unknown block 'Bogus'; known: X, ProwX, "),
+        (lambda s: dict(s, config=dict(s["config"], r_max=True)),
+         r"bad\.json: config r_max must be an integer, got true$"),
+        (lambda s: dict(s, config=dict(s["config"], k=10.7)),
+         r"bad\.json: config k must be an integer, got 10\.7$"),
+        (lambda s: dict(s, config=dict(s["config"], eta=False)),
+         r"bad\.json: config eta must be a number, got false$"),
+        (lambda s: dict(s, config=dict(s["config"], w="0.5")),
+         r'bad\.json: config w must be a number, got "0\.5"$'),
+        (lambda s: dict(s, config=dict(s["config"], alphas="abc")),
+         r'bad\.json: config alphas must be a list of numbers, got "abc"$'),
+        (lambda s: dict(s, config=dict(s["config"], alphas=[1.0, True])),
+         r"bad\.json: config alphas must be a list of numbers, got \[1\.0, true\]$"),
+        (lambda s: dict(s, config=dict(s["config"], active_blocks="ProwX")),
+         r'bad\.json: config active_blocks must be a list of strings, got "ProwX"$'),
     ],
     ids=["v1", "labels-length", "unlabeled-train-row", "negative-fisher-row", "width",
          "not-an-object", "no-config", "no-fisher-rows", "no-config-alphas",
-         "non-integer-labels", "config-not-an-object", "unknown-block"],
+         "non-integer-labels", "config-not-an-object", "unknown-block", "boolean-r-max",
+         "fractional-k", "boolean-eta", "string-w", "string-alphas", "boolean-alpha",
+         "string-active-blocks"],
 )
 def test_snapshot_rejects_inputs_that_do_not_fit(edit, match, bare_snapshot, disk_dataset, tmp_path):
     with open(bare_snapshot) as fh:
