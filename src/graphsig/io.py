@@ -208,16 +208,9 @@ class RunConfig:
     snapshots: str = "first"  # none | first | all
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "split": dataclasses.asdict(self.split),
-            "repeats": self.repeats,
-            "grids": dataclasses.asdict(self.grids),
-            "active_blocks": list(self.active_blocks),
-            "fisher_mode": self.fisher_mode,
-            "snapshots": self.snapshots,
-            "conventions": conventions(),
-        }
+        """Every field, nested ones as dicts and tuples as lists, and the
+        conventions block: what ``config_hash`` hashes."""
+        return dict(jsonable(dataclasses.asdict(self)), conventions=conventions())
 
 
 def config_hash(config: RunConfig) -> str:

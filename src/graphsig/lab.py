@@ -89,10 +89,9 @@ def ablation_table(results: dict):
         dict(variant=name, **summarize_repeats(outcomes))
         for name, outcomes in results.items()
     ]
-    order = sorted(rows, key=lambda r: -r["mean"])
-    ranks = {id(r): i + 1 for i, r in enumerate(order)}
-    for r in rows:
-        r["rank"] = ranks[id(r)]
+    # a stable sort: tied means rank in input order
+    for rank, r in enumerate(sorted(rows, key=lambda r: -r["mean"]), start=1):
+        r["rank"] = rank
     return rows
 
 

@@ -23,23 +23,24 @@ class RidgeModel:
     alphas: tuple
     betas: tuple  # one (n_tr, C) array per alpha
     sigmas: tuple  # training-score std per alpha
+    train_scores: tuple  # G beta per alpha: the training rows' unstandardized scores
     F_tr: np.ndarray
     epsilon: float
 
 
 def _spd_solve(G: np.ndarray, alpha: float, Y: np.ndarray) -> np.ndarray:
+    """Solve (G + alpha I) beta = Y on one shifted copy of G, raised by a
+    jitter when it is not positive definite in floating point."""
     import scipy.linalg  # here, not at the top: importing graphsig stays numpy-only
 
-    A = G + alpha * np.eye(G.shape[0])
+    A = G.copy()
+    diagonal = np.einsum("ii->i", A)  # a writable view of A's diagonal
+    diagonal += alpha
     try:
         cho = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(cho, Y, check_finite=False)
     except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-10 * np.trace(A) / A.shape[0]
-    cho = scipy.linalg.cho_factor(
-        A + jitter * np.eye(A.shape[0]), lower=True, check_finite=False
-    )
+        diagonal += 1e-10 * np.trace(A) / A.shape[0]
+        cho = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
     return scipy.linalg.cho_solve(cho, Y, check_finite=False)
 
 
@@ -57,17 +58,14 @@ def fit_ridge(F_tr: np.ndarray, Y: np.ndarray, alphas, epsilon: float = EPSILON)
             f"label matrix rows {Y.shape[0]} do not match training rows {F_tr.shape[0]}"
         )
     G = F_tr.dot(F_tr.T)
-    betas = []
-    sigmas = []
-    for alpha in alphas:
-        beta = _spd_solve(G, alpha, Y)
-        Z_tr = G.dot(beta)
-        sigmas.append(float(np.std(Z_tr)))  # population std over n_tr * C scores
-        betas.append(beta)
+    betas = tuple(_spd_solve(G, alpha, Y) for alpha in alphas)
+    train_scores = tuple(G.dot(beta) for beta in betas)
     return RidgeModel(
         alphas=alphas,
-        betas=tuple(betas),
-        sigmas=tuple(sigmas),
+        betas=betas,
+        # population std over n_tr * C scores
+        sigmas=tuple(float(np.std(Z_tr)) for Z_tr in train_scores),
+        train_scores=train_scores,
         F_tr=F_tr,
         epsilon=float(epsilon),
     )
@@ -91,8 +89,16 @@ def scores_from_cross(model: RidgeModel, cross: np.ndarray) -> np.ndarray:
     """The ridge score matrix of rows whose cross product with the
     training rows, ``F F_tr^T``, is ``cross``; callers that score several
     alpha sets of one training matrix compute it once."""
-    out = np.zeros((cross.shape[0], model.betas[0].shape[1]))
-    for beta, sigma in zip(model.betas, model.sigmas):
-        out -= cross.dot(beta) / (sigma + model.epsilon)
+    return averaged_scores(model, [cross.dot(beta) for beta in model.betas])
+
+
+def averaged_scores(model: RidgeModel, raw) -> np.ndarray:
+    """The negated mean over the model's alphas of ``raw[a] / (sigma_a +
+    epsilon)``, where ``raw[a]`` is some rows' F F_tr^T beta_a; the
+    training rows' score matrix is ``averaged_scores(model,
+    model.train_scores)``."""
+    out = np.zeros(raw[0].shape)
+    for Z, sigma in zip(raw, model.sigmas, strict=True):
+        out -= Z / (sigma + model.epsilon)
     out /= len(model.alphas)
     return out

@@ -25,7 +25,7 @@ from .conventions import EPSILON
 from .dictionary import BLOCK_NAMES, SignalDictionary, build_dictionary
 from .fisher import fisher_scores, restrict, select_top_k
 from .graph import node_ids
-from .ridge import fit_ridge, ridge_scores, scores_from_cross
+from .ridge import averaged_scores, fit_ridge, ridge_scores, scores_from_cross
 from .subspace import class_svds, pca_residuals, truncate_subspaces
 
 DEFAULT_K_GRID = (4000, 5000, 6000, 8000)
@@ -63,14 +63,8 @@ class HyperConfig:
     active_blocks: tuple = BLOCK_NAMES
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "r_max": self.r_max,
-            "eta": self.eta,
-            "alphas": list(self.alphas),
-            "w": self.w,
-            "active_blocks": list(self.active_blocks),
-        }
+        fields = dataclasses.asdict(self)
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "HyperConfig":
@@ -251,11 +245,12 @@ def grid_search(
     per class, one ``pca_residuals`` call per row set over the
     subspaces of every (r_max, eta) point (one centering per class, one
     projection per point and class), one ``fit_ridge`` over the
-    distinct alphas of all alpha sets, and one cross product with the
-    train rows per row set, which every alpha set's scores read; the
-    truncation per (K, r_max, eta); and the w sweep only re-fuses
-    precomputed branch scores.  Each point's scores are bitwise those
-    of scoring it alone.
+    distinct alphas of all alpha sets, whose Gram gives every alpha
+    set's train scores, and one cross product of the val rows with the
+    train rows, which every alpha set's val scores read; the truncation
+    per (K, r_max, eta); and the w sweep only re-fuses precomputed
+    branch scores.  Each point's scores are bitwise those of scoring it
+    alone.
 
     Three kinds of points are skipped because an earlier point already
     scored exactly the same validation predictions, so under first-wins
@@ -341,23 +336,21 @@ def grid_searches(dictionary: SignalDictionary, y, train, val, grids, fisher_idx
         stacked = [s for _, _, subspaces in points for s in subspaces]
         R_tr = pca_residuals(F_tr, stacked)
         R_val = pca_residuals(F_val, stacked)
-        # one solve per distinct alpha, and one cross product per row set,
-        # serve every alpha set
+        # one solve per distinct alpha serves every alpha set; the train
+        # scores come from the solve's Gram, the val scores from one cross
+        # product with the train rows
         distinct = tuple(dict.fromkeys(float(a) for key in alpha_sets for a in key))
         union = fit_ridge(F_tr, Y, distinct)
-        solved = dict(zip(union.alphas, zip(union.betas, union.sigmas)))
-        cross_tr = F_tr.dot(union.F_tr.T)
+        solved = dict(zip(union.alphas, zip(union.betas, union.sigmas, union.train_scores)))
         cross_val = F_val.dot(union.F_tr.T)
         ridges = []
         for key in alpha_sets:
             alphas = tuple(float(a) for a in key)
+            betas, sigmas, train_scores = zip(*(solved[a] for a in alphas))
             model = dataclasses.replace(
-                union,
-                alphas=alphas,
-                betas=tuple(solved[a][0] for a in alphas),
-                sigmas=tuple(solved[a][1] for a in alphas),
+                union, alphas=alphas, betas=betas, sigmas=sigmas, train_scores=train_scores
             )
-            sigma_ridge = float(np.std(scores_from_cross(model, cross_tr)))
+            sigma_ridge = float(np.std(averaged_scores(model, train_scores)))
             Rr_val = scores_from_cross(model, cross_val) / (sigma_ridge + eps)
             ridges.append((key, model, sigma_ridge, Rr_val))
         C = len(svds)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import filecmp
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -241,6 +242,99 @@ def test_config_hash_stability():
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 16
+
+
+def listed_run_config(c):
+    """``RunConfig.to_dict`` as first written, field by field."""
+    return {
+        "name": c.name,
+        "split": dataclasses.asdict(c.split),
+        "repeats": c.repeats,
+        "grids": dataclasses.asdict(c.grids),
+        "active_blocks": list(c.active_blocks),
+        "fisher_mode": c.fisher_mode,
+        "snapshots": c.snapshots,
+        "conventions": {"std_mode": "population", "epsilon": 1e-12},
+    }
+
+
+def changed(value):
+    if isinstance(value, str):
+        return value + "-changed"
+    if isinstance(value, tuple):
+        return value[:-1] if len(value) > 1 else value * 2
+    return value / 2 if isinstance(value, float) else value + 1
+
+
+def one_field_changes(config):
+    """``config`` with one field changed, for every field and every field
+    of a nested config."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            for inner in one_field_changes(value):
+                yield dataclasses.replace(config, **{f.name: inner})
+        else:
+            yield dataclasses.replace(config, **{f.name: changed(value)})
+
+
+NON_DEFAULT_RUN = RunConfig(
+    name="cora",
+    split=SplitSpec("fraction", 5, 7, 0.5, 0.25, 0.25, seed=3, repeat=2),
+    repeats=3,
+    grids=SearchGrids((10, 20), (2,), (0.5,), ((0.1,), (1.0, 2.0)), (0.25,)),
+    active_blocks=("X", "PsymX"),
+    fisher_mode="train+val",
+    snapshots="all",
+)
+
+
+@pytest.mark.parametrize("config", [RunConfig(), NON_DEFAULT_RUN], ids=["default", "non-default"])
+def test_run_config_dict_and_hash_are_the_hand_listed_ones(config):
+    want = json.dumps(listed_run_config(config), sort_keys=True, separators=(",", ":"))
+    assert json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":")) == want
+    assert config_hash(config) == hashlib.sha256(want.encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("base", [RunConfig(), NON_DEFAULT_RUN], ids=["default", "non-default"])
+def test_config_hash_covers_every_run_config_field(base):
+    variants = list(one_field_changes(base))
+    # 5 plain fields, 8 split fields and 5 grid axes
+    assert len(variants) == 18
+    assert len({config_hash(c) for c in [base, *variants]}) == 1 + len(variants)
+    # a field added to RunConfig reaches the hash with no second edit
+    wider = dataclasses.make_dataclass(
+        "WiderRunConfig", [("extra", int, 0)], bases=(RunConfig,), frozen=True
+    )
+    assert wider().to_dict()["extra"] == 0
+    assert config_hash(wider(extra=1)) != config_hash(wider())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.builds(
+        HyperConfig,
+        k=st.integers(1, 10**5),
+        r_max=st.integers(0, 500),
+        eta=st.floats(0, 1),
+        alphas=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=4).map(tuple),
+        w=st.floats(0, 1),
+        active_blocks=st.lists(st.sampled_from(BLOCK_NAMES), min_size=1, unique=True).map(tuple),
+    )
+)
+def test_hyper_config_round_trips_through_its_dict(config):
+    d = config.to_dict()
+    assert HyperConfig.from_dict(d) == config
+    # the snapshot's config object, as first written field by field
+    assert d == {
+        "k": config.k,
+        "r_max": config.r_max,
+        "eta": config.eta,
+        "alphas": list(config.alphas),
+        "w": config.w,
+        "active_blocks": list(config.active_blocks),
+    }
+    assert list(d) == ["k", "r_max", "eta", "alphas", "w", "active_blocks"]
 
 
 def test_jsonable_handles_special_values():

@@ -146,7 +146,9 @@ def test_ablation_table_ranks():
         "worse": fake([0.5, 0.52]),
         "tied": fake([0.91, 0.91]),
     }
-    rows = {r["variant"]: r for r in ablation_table(results)}
+    table = ablation_table(results)
+    assert [r["variant"] for r in table] == list(results)  # rows stay in input order
+    rows = {r["variant"]: r for r in table}
     assert rows["full"]["rank"] == 1  # mean 0.91, tie goes to insertion order
     assert rows["tied"]["rank"] == 2
     assert rows["worse"]["rank"] == 3

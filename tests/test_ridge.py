@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from graphsig.ridge import RidgeModel, _spd_solve, fit_ridge, ridge_scores
+from graphsig.ridge import (
+    RidgeModel,
+    _spd_solve,
+    averaged_scores,
+    fit_ridge,
+    ridge_scores,
+    scores_from_cross,
+)
 
 
 def primal_scores(F_tr, Y, alphas, F, epsilon):
@@ -74,6 +85,101 @@ def test_spd_solve_jitter_retry():
     jitter = 1e-10 * np.trace(A) / 2
     want = np.linalg.solve(A + jitter * np.eye(2), np.eye(2))
     assert np.allclose(beta, want, rtol=1e-6)
+
+
+def parent_spd_solve(G, alpha, Y):
+    """The solve as first written: G + alpha I and, on a failed
+    factorization, that sum plus a jitter times I, each a new matrix."""
+    A = G + alpha * np.eye(G.shape[0])
+    try:
+        cho = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+        return scipy.linalg.cho_solve(cho, Y, check_finite=False)
+    except np.linalg.LinAlgError:
+        pass
+    jitter = 1e-10 * np.trace(A) / A.shape[0]
+    cho = scipy.linalg.cho_factor(A + jitter * np.eye(A.shape[0]), lower=True, check_finite=False)
+    return scipy.linalg.cho_solve(cho, Y, check_finite=False)
+
+
+@st.composite
+def gram_problems(draw):
+    """A Gram matrix F F^T, its diagonal optionally lowered by 1e-14 so
+    that a small alpha leaves it indefinite (the jitter retry), and
+    optionally some symmetric off-diagonal pairs set to -0.0."""
+    n = draw(st.integers(1, 8))
+    K = draw(st.integers(1, 6))
+    G = draw(arrays(np.float64, (n, K), elements=st.floats(-8, 8, width=32)))
+    G = G.dot(G.T)
+    np.einsum("ii->i", G)[...] -= draw(st.sampled_from((0.0, 1e-14)))
+    upper = np.triu(draw(arrays(np.bool_, (n, n))), 1)
+    G[upper | upper.T] = -0.0
+    C = draw(st.integers(1, 3))
+    Y = np.eye(C)[draw(arrays(np.int64, n, elements=st.integers(0, C - 1)))]
+    alpha = draw(st.sampled_from((1e-15, 1e-6, 0.01, 0.1, 1.0, 10.0)))
+    return G, alpha, Y
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gram_problems())
+def test_spd_solve_is_bitwise_the_parent_form(problem):
+    G, alpha, Y = problem
+    try:
+        want = parent_spd_solve(G, alpha, Y)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            _spd_solve(G, alpha, Y)
+        return
+    assert _spd_solve(G, alpha, Y).tobytes() == want.tobytes()
+
+
+def test_spd_solve_shifts_a_copy_and_retries_on_it():
+    G = np.diag([1.0, -1e-14])  # indefinite after the shift: takes the jitter retry
+    kept = G.copy()
+    beta = _spd_solve(G, 1e-15, np.eye(2))
+    assert beta.tobytes() == parent_spd_solve(G, 1e-15, np.eye(2)).tobytes()
+    assert G.tobytes() == kept.tobytes()
+
+
+def test_spd_solve_reads_a_negative_zero_off_the_diagonal():
+    # the parent form adds alpha * 0.0 off the diagonal, which turns -0.0
+    # into +0.0; the shifted copy keeps -0.0 there, and so does the lower
+    # factor. One-hot labels still give bitwise the parent's betas. A label
+    # matrix that itself holds -0.0 can give zeros of the other sign, equal
+    # in value.
+    G = np.array([[2.0, -0.0, 1.0], [-0.0, 3.0, -0.0], [1.0, -0.0, 2.0]])
+    for alpha in (1e-15, 0.1, 10.0):
+        for Y in (np.eye(3), np.eye(2)[[0, 1, 1]]):
+            assert _spd_solve(G, alpha, Y).tobytes() == parent_spd_solve(G, alpha, Y).tobytes()
+        assert np.array_equal(_spd_solve(G, alpha, -np.eye(3)), parent_spd_solve(G, alpha, -np.eye(3)))
+
+
+def test_fit_ridge_builds_no_identity_matrix(monkeypatch):
+    rng = np.random.default_rng(4)
+    F_tr = rng.standard_normal((9, 4))
+    Y = np.eye(3)[rng.integers(0, 3, size=9)]
+    want = fit_ridge(F_tr, Y, (0.1, 1.0))
+
+    def eye(*args, **kwargs):
+        raise AssertionError("np.eye called")
+
+    monkeypatch.setattr(np, "eye", eye)
+    got = fit_ridge(F_tr, Y, (0.1, 1.0))
+    for a, b in zip(got.betas, want.betas, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_train_scores_are_the_gram_scores():
+    rng = np.random.default_rng(5)
+    F_tr = rng.standard_normal((11, 30))
+    Y = np.eye(3)[rng.integers(0, 3, size=11)]
+    model = fit_ridge(F_tr, Y, (0.01, 0.5, 4.0))
+    G = F_tr.dot(F_tr.T)
+    for Z, beta, sigma in zip(model.train_scores, model.betas, model.sigmas, strict=True):
+        assert Z.tobytes() == G.dot(beta).tobytes()
+        assert sigma == float(np.std(Z))
+    want = scores_from_cross(model, G)
+    assert averaged_scores(model, model.train_scores).tobytes() == want.tobytes()
+    assert want.tobytes() == ridge_scores(model, F_tr).tobytes()
 
 
 def test_transductive_scores_lower_for_true_class():

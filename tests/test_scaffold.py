@@ -14,7 +14,7 @@ from graphsig.conventions import EPSILON
 from graphsig.dictionary import build_dictionary
 from graphsig.fisher import fisher_scores, restrict, select_top_k
 from graphsig.graph import build_graph
-from graphsig.ridge import fit_ridge, ridge_scores, scores_from_cross
+from graphsig.ridge import averaged_scores, fit_ridge, ridge_scores, scores_from_cross
 from graphsig.scaffold import (
     HyperConfig,
     SearchGrids,
@@ -356,6 +356,35 @@ def test_grid_search_equals_the_point_by_point_loop(seed, monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_fraction_split_search_with_more_train_rows_than_coordinates():
+    # 600 nodes and d = 16: the dictionary is 9 * 16 = 144 wide, below the
+    # 360 train rows, so every K level's Gram is singular before the shift;
+    # weak signal, so the winner is neither the first K level nor alpha set
+    g, X, y = make_sbm_dataset(
+        n_per_class=200, n_classes=3, p_within=0.03, p_between=0.025,
+        d=16, shift=0.4, seed=3,
+    )
+    train, val, test = make_split(y, SplitSpec(mode="fraction", seed=3))
+    dictionary = build_dictionary(g, X)
+    assert dictionary.p == 144 < train.size == 360
+    grids = SearchGrids(ks=(40, 144, 4000), r_maxs=(4, 16), etas=(0.9, 0.99))
+    want_acc, want_config, want_subs, want_model, want_sp, want_sr = loop_grid_search(
+        dictionary, y, train, val, grids, []
+    )
+    config, sc, acc = grid_search(dictionary, y, train, val, grids)
+    assert config == want_config
+    assert (config.k, config.alphas) == (144, grids.alpha_sets[-1])
+    assert acc == want_acc
+    assert sc.sigma_ridge == want_sr
+    F_test = sc.rows(test)
+    yhat, S, _, _ = predict(sc, F_test)
+    Rp = pca_residuals(F_test, want_subs) / (want_sp + EPSILON)
+    Rr = ridge_scores(want_model, F_test) / (want_sr + EPSILON)
+    want_S, want_yhat = fuse(Rp, Rr, want_config.w, sc.classes)
+    assert S.tobytes() == want_S.tobytes()
+    assert np.array_equal(yhat, want_yhat)
+
+
 def test_grid_search_does_each_k_levels_shared_work_once(monkeypatch):
     g, X, y = make_sbm_dataset(
         n_per_class=30, n_classes=3, p_within=0.12, p_between=0.05,
@@ -495,16 +524,25 @@ def test_fit_scores_each_training_row_once_per_branch(monkeypatch):
     train, _, _ = make_split(y, SplitSpec(train_per_class=10, val_per_class=5))
     rows = {"pca_residuals": 0, "ridge_scores": 0}
 
-    def counted(name, fn, rows_at):
+    def counted(name, fn, rows_of):
         def wrapper(*args):
-            rows[name] += args[rows_at].shape[0]
+            rows[name] += rows_of(*args).shape[0]
             return fn(*args)
         return wrapper
 
-    # pca_residuals(F, subspaces), scores_from_cross(model, F F_tr^T)
-    monkeypatch.setattr(scaffold_module, "pca_residuals", counted("pca_residuals", pca_residuals, 0))
+    # pca_residuals(F, subspaces); the ridge branch scores the train rows
+    # through averaged_scores(model, model.train_scores) and any other rows
+    # through scores_from_cross(model, F F_tr^T)
     monkeypatch.setattr(
-        scaffold_module, "scores_from_cross", counted("ridge_scores", scores_from_cross, 1)
+        scaffold_module, "pca_residuals", counted("pca_residuals", pca_residuals, lambda F, s: F)
+    )
+    monkeypatch.setattr(
+        scaffold_module, "averaged_scores",
+        counted("ridge_scores", averaged_scores, lambda model, raw: raw[0]),
+    )
+    monkeypatch.setattr(
+        scaffold_module, "scores_from_cross",
+        counted("ridge_scores", scores_from_cross, lambda model, cross: cross),
     )
     fit(g, X, y, train, HyperConfig(k=10, r_max=2, eta=0.9, alphas=(1.0,), w=0.5))
     assert rows == {"pca_residuals": len(train), "ridge_scores": len(train)}
