@@ -402,6 +402,9 @@ def cmd_fingerprint(args):
         where = args.eval_nodes or f"the snapshot's {args.eval} split"
         raise ValueError(f"empty eval set: {where} holds no node ids")
     eval_idx = node_ids(eval_idx, bundle.graph.n, "eval", bundle.y)
+    ids, counts = np.unique(eval_idx, return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"eval node {ids[counts > 1][0]} listed more than once")
 
     yield "atlas"
     # the run that wrote the snapshot stamped its provenance into extra

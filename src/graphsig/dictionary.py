@@ -222,6 +222,8 @@ def build_dictionary(g: SparseGraph, X: np.ndarray, active_blocks=None) -> Signa
     X = np.array(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != g.n:
         raise ValueError(f"features must be (n={g.n}, d), got {X.shape}")
+    if X.shape[1] == 0:
+        raise ValueError("features must have at least one column")
     if not np.all(np.isfinite(X)):
         bad = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"non-finite feature entry at row {bad[0]}, column {bad[1]}")
@@ -229,7 +231,7 @@ def build_dictionary(g: SparseGraph, X: np.ndarray, active_blocks=None) -> Signa
 
     active = canonical_blocks(BLOCKS if active_blocks is None else active_blocks)
     terms, hops = _recipes(g, X, active)
-    step = max(1, _ROW_BLOCK_BYTES // max(8 * X.shape[1], 1))
+    step = max(1, _ROW_BLOCK_BYTES // (8 * X.shape[1]))
     scale = np.zeros((g.n, len(active)))
     for k in range(len(active)):
         for start in range(0, g.n, step):

@@ -26,8 +26,10 @@ from .dictionary import BLOCKS, SignalDictionary
 class FisherSelection:
     scores: np.ndarray
     selected: np.ndarray  # sorted coordinate indices, len K_eff
-    k_requested: int
-    k_eff: int
+
+    @property
+    def k_eff(self) -> int:
+        return self.selected.size
 
 
 def fisher_scores(F_tr, y_tr, epsilon: float = EPSILON) -> np.ndarray:
@@ -54,17 +56,9 @@ def select_top_k(scores: np.ndarray, k: int) -> FisherSelection:
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
     scores = np.asarray(scores, dtype=np.float64)
-    p = scores.shape[0]
-    k_eff = min(k, p)
     # stable sort on -score keeps ascending-index order within ties
     order = np.argsort(-scores, kind="stable")
-    selected = np.sort(order[:k_eff])
-    return FisherSelection(
-        scores=scores,
-        selected=selected.astype(np.int64),
-        k_requested=int(k),
-        k_eff=int(k_eff),
-    )
+    return FisherSelection(scores=scores, selected=np.sort(order[:k]).astype(np.int64))
 
 
 def restrict(dictionary: SignalDictionary, selected, rows) -> tuple:

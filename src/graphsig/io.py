@@ -95,6 +95,8 @@ def load_features(path) -> np.ndarray:
         binary = fh.read(4) == FEATURE_MAGIC
         if binary:
             n, d = struct.unpack("<QQ", fh.read(16))
+            if d == 0:
+                raise ValueError(f"{path}: header declares 0 feature columns")
             payload = fh.read()
     if not binary:
         return _load_features_csv(path)

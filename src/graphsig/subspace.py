@@ -10,7 +10,7 @@ against a class is the squared distance to that affine subspace,
     R_ic = ||(I - B_c B_c^T)(f_i - mu_c)||^2 = ||v||^2 - ||B_c^T v||^2.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,12 +20,25 @@ RANK_CUTOFF = 1e-10
 
 @dataclass(frozen=True)
 class ClassSubspace:
+    """A class's affine subspace: every (r_max, eta) truncation of one
+    class shares its ``center`` and ``directions``, and differs in ``r``."""
+
     label: int
     center: np.ndarray  # (K,)
-    basis: np.ndarray  # (K, r) orthonormal columns
-    r: int
-    energy_fraction: float
+    directions: np.ndarray  # (K, m) sign-fixed right-singular directions
+    energy: np.ndarray  # (m,) cumulative energy fraction of each direction
     n_members: int
+    r: int
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The (K, r) leading orthonormal columns."""
+        return self.directions[:, : self.r]
+
+    @property
+    def energy_fraction(self) -> float:
+        """The cumulative energy of the basis (1.0 for a rank-0 class)."""
+        return float(self.energy[self.r - 1]) if self.r else 1.0
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
@@ -38,19 +51,9 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
     return V * signs
 
 
-@dataclass(frozen=True)
-class ClassSVD:
-    """Centered-class SVD that every (r_max, eta) truncation shares."""
-
-    label: int
-    center: np.ndarray  # (K,)
-    svals: np.ndarray  # singular values above RANK_CUTOFF, descending
-    basis: np.ndarray  # (K, len(svals)) sign-fixed right-singular directions
-    n_members: int
-
-
 def class_svds(F_tr: np.ndarray, y_tr) -> list:
-    """One ClassSVD per training-present class, ascending label order."""
+    """One full-rank ClassSubspace per training-present class, ascending
+    label order: ``r`` counts every singular value above RANK_CUTOFF."""
     F_tr = np.asarray(F_tr, dtype=np.float64)
     y_tr = np.asarray(y_tr)
     K = F_tr.shape[1]
@@ -74,46 +77,33 @@ def class_svds(F_tr: np.ndarray, y_tr) -> list:
                 svals = svals[:0]
             Vt = Vt[: svals.size]
         svds.append(
-            ClassSVD(
+            ClassSubspace(
                 label=int(c),
                 center=center,
-                svals=svals,
                 # signs are fixed column by column, so every truncation is a
-                # leading slice of this one basis
-                basis=_fix_signs(Vt.T),
+                # leading slice of these directions
+                directions=_fix_signs(Vt.T),
+                energy=np.cumsum(svals**2) / np.sum(svals**2),
                 n_members=rows.shape[0],
+                r=svals.size,
             )
         )
     return svds
 
 
 def truncate_subspaces(svds, r_max: int, eta: float) -> list:
-    """ClassSubspaces at one (r_max, eta) from precomputed class SVDs."""
+    """The ``class_svds`` records truncated at one (r_max, eta)."""
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     subspaces = []
     for sv in svds:
-        K = sv.center.shape[0]
-        if sv.svals.size == 0:
-            # all class rows identical (or a single member): zero variance
-            r, achieved = 0, 1.0
-        else:
-            energy = np.cumsum(sv.svals**2) / np.sum(sv.svals**2)
-            r = int(np.searchsorted(energy, eta - 1e-15) + 1)
-            r = min(r, r_max, sv.n_members - 1, K)
-            achieved = float(energy[r - 1]) if r > 0 else 0.0
-        subspaces.append(
-            ClassSubspace(
-                label=sv.label,
-                center=sv.center,
-                basis=sv.basis[:, :r],
-                r=r,
-                energy_fraction=achieved,
-                n_members=sv.n_members,
-            )
-        )
+        r = 0  # all class rows identical (or a single member): zero variance
+        if sv.energy.size:
+            r = int(np.searchsorted(sv.energy, eta - 1e-15) + 1)
+            r = min(r, r_max, sv.n_members - 1, sv.center.shape[0])
+        subspaces.append(replace(sv, r=r))
     return subspaces
 
 

@@ -183,8 +183,9 @@ def test_nonfinite_features_rejected_with_position():
         (np.ones((2, 2)), None, "features must be (n=3, d), got (2, 2)"),
         (np.ones(3), None, "features must be (n=3, d), got (3,)"),
         (np.ones((3, 2)), (), "active_blocks must be nonempty"),
+        (np.ones((3, 0)), None, "features must have at least one column"),
     ],
-    ids=["too-few-rows", "one-dimensional", "no-block"],
+    ids=["too-few-rows", "one-dimensional", "no-block", "no-column"],
 )
 def test_build_rejects_features_of_another_shape_and_an_empty_block_set(X, blocks, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -80,7 +80,6 @@ def test_top_k_ties_by_ascending_index():
     # two 0.9s first (indices 1, 3), then the first 0.5 (index 0)
     assert sel.selected.tolist() == [0, 1, 3]
     assert sel.k_eff == 3
-    assert sel.k_requested == 3
 
 
 def test_top_k_clips_to_dimension():

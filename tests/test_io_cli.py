@@ -1111,6 +1111,16 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
             "load-dataset",
             id="inf-feature-gsf1",
         ),
+        pytest.param(
+            ["run", "--edges", "{edges}", "--features", "{no_column_bin}", "--labels", "{labels}"],
+            "load-dataset",
+            id="zero-column-gsf1",
+        ),
+        pytest.param(
+            ["fingerprint", *DATA, "--snapshot", "{bare}", "--eval-nodes", "{repeated_ids}"],
+            "select-eval-nodes",
+            id="eval-node-listed-twice",
+        ),
         pytest.param(["paired"], "load-results", id="paired-without-inputs"),
         pytest.param(["run", *DATA, "--repeats", "0"], "evaluate", id="zero-repeats"),
         pytest.param(
@@ -1179,12 +1189,15 @@ def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, caps
     X = disk_dataset["X"].copy()
     X[3, 1] = np.inf
     save_features_binary(str(tmp_path / "inf.bin"), X)
+    save_features_binary(str(tmp_path / "no_column.bin"), np.zeros((X.shape[0], 0)))
+    (tmp_path / "repeated_ids.txt").write_text("0\n0\n0\n5\n")
     paths = dict(
         disk_dataset, missing=str(tmp_path / "missing.csv"), bare=bare_snapshot,
         bad_ids=str(bad_ids), empty_ids=str(tmp_path / "empty_ids.txt"),
         empty_val=str(tmp_path / "empty_val.json"), nan_csv=str(tmp_path / "nan.csv"),
         inf_bin=str(tmp_path / "inf.bin"), holey_labels=str(tmp_path / "holey_labels.csv"),
-        eval_ids=str(tmp_path / "eval_ids.txt"),
+        eval_ids=str(tmp_path / "eval_ids.txt"), no_column_bin=str(tmp_path / "no_column.bin"),
+        repeated_ids=str(tmp_path / "repeated_ids.txt"),
         **{key: str(tmp_path / f"{key}.json") for key in broken},
     )
     out = tmp_path / "out"

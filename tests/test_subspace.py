@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from graphsig.subspace import (
+    RANK_CUTOFF,
     ClassSubspace,
     _fix_signs,
     class_svds,
@@ -267,7 +268,12 @@ def test_subspaces_sharing_a_center_are_scored_by_their_own_bases(K, seed):
         bases += [Q[:, :2], Q[:, ::2][:, :2], Q[:, 2:4]]
     subs = [
         ClassSubspace(
-            label=0, center=center, basis=b, r=b.shape[1], energy_fraction=1.0, n_members=K
+            label=0,
+            center=center,
+            directions=b,
+            energy=np.ones(b.shape[1]),
+            n_members=K,
+            r=b.shape[1],
         )
         for b in bases
     ]
@@ -278,6 +284,93 @@ def test_subspaces_sharing_a_center_are_scored_by_their_own_bases(K, seed):
     if K >= 4:
         assert not np.array_equal(R[:, 4], R[:, 5])
         assert not np.array_equal(R[:, 4], R[:, 6])
+
+
+def stored_truncation(F_tr, y_tr, r_max, eta):
+    # the rule of the records that stored their singular values and their
+    # truncated basis and energy fraction: (label, r, energy_fraction,
+    # basis) per class, the oracle for the records that store neither
+    out = []
+    for c in np.unique(y_tr):
+        rows = F_tr[y_tr == c]
+        center = rows.mean(axis=0)
+        if np.all(rows == rows[0]):
+            svals, Vt = np.zeros(0), np.zeros((0, F_tr.shape[1]))
+        else:
+            _, svals, Vt = np.linalg.svd(rows - center, full_matrices=False)
+            if svals.size and svals[0] ** 2 >= np.finfo(np.float64).tiny:
+                svals = svals[svals > RANK_CUTOFF * svals[0]]
+            else:
+                svals = svals[:0]
+            Vt = Vt[: svals.size]
+        basis = _fix_signs(Vt.T)
+        if svals.size == 0:
+            r, achieved = 0, 1.0
+        else:
+            energy = np.cumsum(svals**2) / np.sum(svals**2)
+            r = int(np.searchsorted(energy, eta - 1e-15) + 1)
+            r = min(r, r_max, rows.shape[0] - 1, F_tr.shape[1])
+            achieved = float(energy[r - 1]) if r > 0 else 0.0
+        out.append((int(c), r, achieved, basis[:, :r]))
+    return out
+
+
+@st.composite
+def class_kinds(draw):
+    # each class is a spread, identical rows, a single member, or a spread
+    # whose squared singular values underflow
+    K = draw(st.integers(1, 6))
+    kinds = st.sampled_from(("spread", "identical", "single", "underflow"))
+    values = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    blocks, labels = [], []
+    for c, kind in enumerate(draw(st.lists(kinds, min_size=1, max_size=4))):
+        n_c = 1 if kind == "single" else draw(st.integers(2, 9))
+        if kind == "identical":
+            block = np.tile(draw(arrays(np.float64, K, elements=values)), (n_c, 1))
+        else:
+            block = draw(arrays(np.float64, (n_c, K), elements=values))
+        blocks.append(block * 1e-170 if kind == "underflow" else block)
+        labels += [c] * n_c
+    return np.vstack(blocks), np.array(labels)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    class_kinds(),
+    st.one_of(st.sampled_from((0.5, 0.9, 0.99, 1.0)), st.floats(1e-6, 1.0)),
+)
+def test_truncations_equal_the_stored_record_rule_bitwise(data, eta):
+    F_tr, y_tr = data
+    svds = class_svds(F_tr, y_tr)
+    # r_max runs from below every class's rank to above the ambient dimension
+    for r_max in range(1, 9):
+        subs = truncate_subspaces(svds, r_max, eta)
+        want = stored_truncation(F_tr, y_tr, r_max, eta)
+        for sub, (label, r, achieved, basis) in zip(subs, want, strict=True):
+            assert (sub.label, sub.r) == (label, r)
+            assert np.float64(sub.energy_fraction).tobytes() == np.float64(achieved).tobytes()
+            assert sub.basis.shape == basis.shape
+            assert sub.basis.tobytes() == basis.tobytes()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    class_kinds(),
+    st.lists(
+        st.tuples(st.integers(1, 8), st.sampled_from((0.5, 0.9, 0.99, 1.0))),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_truncations_of_a_class_share_its_center_and_directions(data, points):
+    F_tr, y_tr = data
+    svds = class_svds(F_tr, y_tr)
+    for r_max, eta in points:
+        for sub, full in zip(truncate_subspaces(svds, r_max, eta), svds, strict=True):
+            assert sub.center is full.center
+            assert sub.directions is full.directions
+            if sub.r:
+                assert np.shares_memory(sub.basis, full.directions)
 
 
 @pytest.mark.parametrize("K", [300, 3000])
