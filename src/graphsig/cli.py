@@ -389,7 +389,13 @@ def cmd_fingerprint(args):
         with warnings.catch_warnings():
             # an empty file is rejected below, in the one error line
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            eval_idx = np.loadtxt(args.eval_nodes, dtype=np.int64, ndmin=1)
+            try:
+                # ndmin=1 would read a one-line file of two ids as two ids
+                rows = np.loadtxt(args.eval_nodes, dtype=np.int64, ndmin=2)
+            except ValueError as e:
+                raise ValueError(f"{args.eval_nodes}: {e}") from None
+        # one id per line; any other shape is left for node_ids to reject
+        eval_idx = rows[:, 0] if rows.shape[1] == 1 else rows
     else:
         key = {"train": None, "val": "val_idx", "test": "test_idx"}[args.eval]
         if key is None:

@@ -73,10 +73,13 @@ def build_graph(n: int, edge_list) -> SparseGraph:
 
 
 def checked_ids(idx, n: int, noun: str) -> np.ndarray:
-    """``idx`` as int64 ids in [0, n): a nonempty ``idx`` must be
-    integer-typed (a boolean mask or float ids would read other entries)
+    """``idx`` as int64 ids in [0, n): ``idx`` must be one-dimensional
+    (a scalar or a nested list is no list of ids), a nonempty ``idx``
+    integer-typed (a boolean mask or float ids would read other entries),
     and -1 may not wrap to n - 1.  ``noun`` names one id in messages."""
     idx = np.asarray(idx)
+    if idx.ndim != 1:
+        raise ValueError(f"{noun}s must be one-dimensional, got shape {idx.shape}")
     if idx.size and idx.dtype.kind not in "iu":
         raise ValueError(f"{noun}s must be integers, got dtype {idx.dtype}")
     outside = idx[(idx < 0) | (idx >= n)]
@@ -88,10 +91,11 @@ def checked_ids(idx, n: int, noun: str) -> np.ndarray:
 def node_ids(idx, n: int, role: str = "", labels=None) -> np.ndarray:
     """``idx`` as int64 node ids of an n-node graph: the one node-id check.
 
-    A nonempty ``idx`` must be integer-typed (a boolean mask or float ids
-    would read other nodes) with every id in [0, n) (-1 would wrap to node
-    n - 1).  Given ``labels`` (a class id per node, -1 where unknown), each
-    id must be labeled.  ``role`` ("train", "eval", ...) prefixes messages.
+    ``idx`` must be one-dimensional, and a nonempty ``idx`` integer-typed
+    (a boolean mask or float ids would read other nodes) with every id in
+    [0, n) (-1 would wrap to node n - 1).  Given ``labels`` (a class id
+    per node, -1 where unknown), each id must be labeled.  ``role``
+    ("train", "eval", ...) prefixes messages.
     """
     where = f"{role} " if role else ""
     idx = checked_ids(idx, n, f"{where}node id")
@@ -173,7 +177,6 @@ def load_edge_list(path, n_nodes=None) -> list:
 
 def save_edge_list(path, edges) -> None:
     """Write edges in the standard 'src,dst' text format with header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("src,dst\n")
-        for u, v in edges:
-            fh.write(f"{int(u)},{int(v)}\n")
+    from .io import write_csv  # here, not at the top: io imports this module
+
+    write_csv(path, ["src", "dst"], edges)

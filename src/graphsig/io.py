@@ -23,11 +23,12 @@ import os
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from .conventions import PACKAGE_VERSION, conventions
-from .dictionary import BLOCK_NAMES, block_by_name
+from .dictionary import BLOCK_NAMES
 from .graph import build_graph, load_edge_list, node_ids
 from .scaffold import FittedScaffold, HyperConfig, SearchGrids, SplitSpec, fit
 
@@ -94,7 +95,10 @@ def load_features(path) -> np.ndarray:
     with open(path, "rb") as fh:
         binary = fh.read(4) == FEATURE_MAGIC
         if binary:
-            n, d = struct.unpack("<QQ", fh.read(16))
+            header = fh.read(16)
+            if len(header) < 16:
+                raise ValueError(f"{path}: GSF1 header holds {4 + len(header)} of its 20 bytes")
+            n, d = struct.unpack("<QQ", header)
             if d == 0:
                 raise ValueError(f"{path}: header declares 0 feature columns")
             payload = fh.read()
@@ -152,10 +156,8 @@ def _is_int(token: str) -> bool:
 
 
 def save_labels(path, y) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("label\n")
-        for v in np.asarray(y):
-            fh.write(("-" if v < 0 else str(int(v))) + "\n")
+    column = ["-" if v < 0 else v for v in np.asarray(y, dtype=np.int64).tolist()]
+    write_csv(path, ["label"], zip(column))
 
 
 # ------------------------------------------------------------------- bundles
@@ -257,15 +259,16 @@ def write_csv(path, header, rows, meta=None) -> None:
     empty fields; every line ends in LF.  Each row must have one field
     per header name, since the fields are formatted column by column."""
     rows = list(rows)
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {i} has {len(row)} fields, the header {len(header)}")
+    if set(map(len, rows)) - {len(header)}:
+        i, row = next((i, row) for i, row in enumerate(rows) if len(row) != len(header))
+        raise ValueError(f"{path}: row {i} has {len(row)} fields, the header {len(header)}")
+    columns = [list(map(itemgetter(j), rows)) for j in range(len(header))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if meta:
             fh.write("# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)) + "\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows(zip(*map(_format_column, zip(*rows))))
+        w.writerows(zip(*map(_format_column, columns)))
 
 
 def jsonable(obj):
@@ -323,73 +326,59 @@ def save_snapshot(path, scaffold: FittedScaffold, extra=None) -> None:
     write_json(path, payload)
 
 
-# each config field's JSON type, in HyperConfig order; a bool's type is bool, not int
-_CONFIG_TYPES = (
-    ("k", "an integer", lambda v: type(v) is int),
-    ("r_max", "an integer", lambda v: type(v) is int),
-    ("eta", "a number", lambda v: type(v) in (int, float)),
-    ("alphas", "a list of numbers",
-     lambda v: type(v) is list and all(type(a) in (int, float) for a in v)),
-    ("w", "a number", lambda v: type(v) in (int, float)),
-    ("active_blocks", "a list of strings",
-     lambda v: type(v) is list and all(type(b) is str for b in v)),
-)
-
-
 def load_snapshot(path, g, X) -> tuple:
     """Refit the scaffold a snapshot records on its dataset (g, X).
 
     Returns (scaffold, extra).  The scaffold is ``fit`` on the recorded
     inputs, so on the same build it equals the scaffold that was saved,
-    bit for bit; ``extra`` is the snapshot's ``extra`` dict (empty when
-    absent), so callers need not parse the file again.  A file that is
-    not a snapshot object, lacks a key or config field, holds a config
-    that is not an object, a config field of another JSON type or an
-    unknown block, or labels that are not integers, or whose train or
-    Fisher rows fail ``graph.node_ids`` with its labels fails, naming
-    ``path``.
+    bit for bit; ``extra`` is the snapshot's ``extra`` object (empty when
+    absent), so callers need not parse the file again.  A file that does
+    not fit fails with a ValueError naming ``path``: not JSON, not a
+    snapshot object, another format version, a missing key, a config that
+    ``HyperConfig.from_dict`` rejects, labels that are not a flat list of
+    integers, train or Fisher rows that fail ``graph.node_ids`` with them,
+    a width or ``extra`` of another JSON kind, or what the refit rejects.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or payload.get("kind") != "fitted-scaffold":
-        raise ValueError(f"{path}: not a scaffold snapshot")
-    version = payload.get("format_version", 0)
-    if version > SNAPSHOT_VERSION:
-        raise ValueError(
-            f"{path}: format version {version} is newer than supported {SNAPSHOT_VERSION}"
-        )
-    if version < SNAPSHOT_VERSION:
-        raise ValueError(
-            f"{path}: format version {version} is older than supported "
-            f"{SNAPSHOT_VERSION}: re-run `graphsig run`"
-        )
     try:
-        config = payload["config"]
-        if not isinstance(config, dict):
-            raise ValueError(f"{path}: config must be an object, got {type(config).__name__}")
-        for key, kind, fits in _CONFIG_TYPES:
-            if not fits(value := config[key]):
-                raise ValueError(f"{path}: config {key} must be {kind}, got {json.dumps(value)}")
-        config = HyperConfig.from_dict(config)
-        keys = ("labels", "train_idx", "fisher_idx", "n_coordinates")
-        labels, train_idx, fisher_idx, width = (payload[key] for key in keys)
-    except KeyError as err:
-        raise ValueError(f"{path}: snapshot lacks {err}") from None
-    try:
-        for name in config.active_blocks:
-            block_by_name(name)
-    except KeyError as err:
-        raise ValueError(f"{path}: {err.args[0]}") from None
-    labels = np.asarray(labels)
-    if labels.size and labels.dtype.kind not in "iu":
-        raise ValueError(f"{path}: labels must be integers, got dtype {labels.dtype}")
-    labels = labels.astype(np.int64, copy=False)
-    train_idx = node_ids(train_idx, g.n, f"{path}: train_idx", labels)
-    fisher_idx = node_ids(fisher_idx, g.n, f"{path}: fisher_idx", labels)
-    scaffold = fit(g, X, labels, train_idx, config, fisher_idx=fisher_idx)
-    if scaffold.dictionary.p != width:
-        raise ValueError(
-            f"{path}: dictionary has {scaffold.dictionary.p} coordinates, snapshot "
-            f"was built over {width}"
-        )
-    return scaffold, payload.get("extra", {})
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or payload.get("kind") != "fitted-scaffold":
+            raise ValueError("not a scaffold snapshot")
+        version = payload.get("format_version", 0)
+        if type(version) is not int:  # a bool's type is bool, not int
+            raise ValueError(f"format_version must be an integer, got {json.dumps(version)}")
+        if version > SNAPSHOT_VERSION:
+            raise ValueError(f"format version {version} is newer than supported {SNAPSHOT_VERSION}")
+        if version < SNAPSHOT_VERSION:
+            raise ValueError(
+                f"format version {version} is older than supported "
+                f"{SNAPSHOT_VERSION}: re-run `graphsig run`"
+            )
+        try:
+            config = HyperConfig.from_dict(payload["config"])
+            keys = ("labels", "train_idx", "fisher_idx", "n_coordinates")
+            labels, train_idx, fisher_idx, width = (payload[key] for key in keys)
+        except KeyError as err:
+            raise ValueError(f"snapshot lacks {err}") from None
+        if type(labels) is not list or any(type(v) is list for v in labels):
+            raise ValueError("labels must be a flat list, one class id per node")
+        labels = np.asarray(labels)
+        if labels.size and labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+        labels = labels.astype(np.int64, copy=False)
+        train_idx = node_ids(train_idx, g.n, "train_idx", labels)
+        fisher_idx = node_ids(fisher_idx, g.n, "fisher_idx", labels)
+        if type(width) is not int:
+            raise ValueError(f"n_coordinates must be an integer, got {json.dumps(width)}")
+        extra = payload.get("extra", {})
+        if not isinstance(extra, dict):
+            raise ValueError(f"extra must be an object, got {type(extra).__name__}")
+        scaffold = fit(g, X, labels, train_idx, config, fisher_idx=fisher_idx)
+        if scaffold.dictionary.p != width:
+            raise ValueError(
+                f"dictionary has {scaffold.dictionary.p} coordinates, snapshot "
+                f"was built over {width}"
+            )
+    except ValueError as err:  # a malformed JSON text raises a ValueError too
+        raise ValueError(f"{path}: {err}") from None
+    return scaffold, extra

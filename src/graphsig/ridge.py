@@ -22,10 +22,13 @@ from .conventions import EPSILON
 class RidgeModel:
     alphas: tuple
     betas: tuple  # one (n_tr, C) array per alpha
-    sigmas: tuple  # training-score std per alpha
     train_scores: tuple  # G beta per alpha: the training rows' unstandardized scores
     F_tr: np.ndarray
     epsilon: float
+
+    @property
+    def sigmas(self) -> tuple:  # training-score std per alpha, over n_tr * C scores
+        return tuple(float(np.std(Z_tr)) for Z_tr in self.train_scores)
 
 
 def _spd_solve(G: np.ndarray, alpha: float, Y: np.ndarray) -> np.ndarray:
@@ -59,13 +62,10 @@ def fit_ridge(F_tr: np.ndarray, Y: np.ndarray, alphas, epsilon: float = EPSILON)
         )
     G = F_tr.dot(F_tr.T)
     betas = tuple(_spd_solve(G, alpha, Y) for alpha in alphas)
-    train_scores = tuple(G.dot(beta) for beta in betas)
     return RidgeModel(
         alphas=alphas,
         betas=betas,
-        # population std over n_tr * C scores
-        sigmas=tuple(float(np.std(Z_tr)) for Z_tr in train_scores),
-        train_scores=train_scores,
+        train_scores=tuple(G.dot(beta) for beta in betas),
         F_tr=F_tr,
         epsilon=float(epsilon),
     )

@@ -17,12 +17,13 @@ point, and ``fit`` is the search over a one-point grid.
 """
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conventions import EPSILON
-from .dictionary import BLOCK_NAMES, SignalDictionary, build_dictionary
+from .dictionary import BLOCK_NAMES, SignalDictionary, block_by_name, build_dictionary
 from .fisher import fisher_scores, restrict, select_top_k
 from .graph import node_ids
 from .ridge import averaged_scores, fit_ridge, ridge_scores, scores_from_cross
@@ -67,15 +68,35 @@ class HyperConfig:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "HyperConfig":
-        return cls(
-            k=int(d["k"]),
-            r_max=int(d["r_max"]),
-            eta=float(d["eta"]),
-            alphas=tuple(float(a) for a in d["alphas"]),
-            w=float(d["w"]),
-            active_blocks=tuple(d["active_blocks"]),
-        )
+    def from_dict(cls, d) -> "HyperConfig":
+        """The config whose ``to_dict`` is ``d``: a missing field raises a
+        KeyError; a non-object, a field of another JSON kind or an unknown
+        block (with the lookup's message) a ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be an object, got {type(d).__name__}")
+        for name, kind, fits, _ in _CONFIG_FIELDS:
+            if not fits(value := d[name]):
+                raise ValueError(f"config {name} must be {kind}, got {json.dumps(value)}")
+        try:
+            return cls(**{name: cast(d[name]) for name, _, _, cast in _CONFIG_FIELDS})
+        except KeyError as err:  # an unknown block
+            raise ValueError(err.args[0]) from None
+
+
+# each HyperConfig field once: its JSON kind, the test of its JSON value
+# (a bool's type is bool, not int) and its cast
+_INT, _NUMBER = (lambda v: type(v) is int), (lambda v: type(v) in (int, float))
+_CONFIG_FIELDS = (
+    ("k", "an integer", _INT, int),
+    ("r_max", "an integer", _INT, int),
+    ("eta", "a number", _NUMBER, float),
+    ("alphas", "a list of numbers", lambda v: type(v) is list and all(map(_NUMBER, v)),
+     lambda v: tuple(map(float, v))),
+    ("w", "a number", _NUMBER, float),
+    ("active_blocks", "a list of strings",
+     lambda v: type(v) is list and all(type(b) is str for b in v),
+     lambda v: tuple(block_by_name(b).name for b in v)),
+)
 
 
 @dataclass(frozen=True)
@@ -309,9 +330,13 @@ def grid_searches(dictionary: SignalDictionary, y, train, val, grids, fisher_idx
     eps = EPSILON
     # a repeated alpha set scores what its first occurrence scored
     alpha_sets = tuple(dict.fromkeys(tuple(a) for a in grids.alpha_sets))
-    active_blocks = tuple(b.name for b in dictionary.active)
+    blocks = tuple(b.name for b in dictionary.active)
+    # what every returned scaffold records besides its point
+    labels = np.full(y.shape[0], -1, dtype=np.int64)
+    labels[train], labels[fisher_idx] = y[train], y[fisher_idx]
+    recorded = dict(classes=classes, train_idx=train, fisher_idx=fisher_idx, labels=labels)
 
-    best = [None] * len(w_grids)  # per w grid: (val accuracy, point, pieces fitted at it)
+    best = [None] * len(w_grids)  # per w grid: (HyperConfig, FittedScaffold, val accuracy)
     seen_k_eff = set()
     for k in grids.ks:
         selection = select_top_k(q, k)
@@ -341,16 +366,14 @@ def grid_searches(dictionary: SignalDictionary, y, train, val, grids, fisher_idx
         # product with the train rows
         distinct = tuple(dict.fromkeys(float(a) for key in alpha_sets for a in key))
         union = fit_ridge(F_tr, Y, distinct)
-        solved = dict(zip(union.alphas, zip(union.betas, union.sigmas, union.train_scores)))
+        solved = dict(zip(union.alphas, zip(union.betas, union.train_scores)))
         cross_val = F_val.dot(union.F_tr.T)
         ridges = []
         for key in alpha_sets:
             alphas = tuple(float(a) for a in key)
-            betas, sigmas, train_scores = zip(*(solved[a] for a in alphas))
-            model = dataclasses.replace(
-                union, alphas=alphas, betas=betas, sigmas=sigmas, train_scores=train_scores
-            )
-            sigma_ridge = float(np.std(averaged_scores(model, train_scores)))
+            betas, scores = zip(*(solved[a] for a in alphas))
+            model = dataclasses.replace(union, alphas=alphas, betas=betas, train_scores=scores)
+            sigma_ridge = float(np.std(averaged_scores(model, scores)))
             Rr_val = scores_from_cross(model, cross_val) / (sigma_ridge + eps)
             ridges.append((key, model, sigma_ridge, Rr_val))
         C = len(svds)
@@ -361,21 +384,19 @@ def grid_searches(dictionary: SignalDictionary, y, train, val, grids, fisher_idx
             Rp_val = R_val[:, cols] / (sigma_pca + eps)
             for key, model, sigma_ridge, Rr_val in ridges:
                 accs = {w: accuracy(fuse(Rp_val, Rr_val, w, classes)[1], y_val) for w in sweep}
-                # FittedScaffold's fields from selection to sigma_ridge
-                pieces = (selection, subspaces, model, sigma_pca, sigma_ridge)
                 for i, ws in enumerate(w_grids):
                     for w in ws:
-                        if best[i] is None or accs[w] > best[i][0]:
-                            best[i] = (accs[w], (k, r_max, eta, key, w), pieces)
-    read = np.concatenate([train, fisher_idx])
-    labels = np.full(y.shape[0], -1, dtype=np.int64)
-    labels[read] = y[read]
-    found = []
-    for acc, point, pieces in best:
-        config = HyperConfig(*point, active_blocks)
-        scaffold = FittedScaffold(config, *pieces, classes, train, fisher_idx, labels, dictionary)
-        found.append((config, scaffold, acc))
-    return found
+                        if best[i] is None or accs[w] > best[i][2]:
+                            config = HyperConfig(
+                                k=k, r_max=r_max, eta=eta, alphas=key, w=w, active_blocks=blocks
+                            )
+                            scaffold = FittedScaffold(
+                                config=config, selection=selection, subspaces=subspaces,
+                                ridge=model, sigma_pca=sigma_pca, sigma_ridge=sigma_ridge,
+                                dictionary=dictionary, **recorded,
+                            )
+                            best[i] = (config, scaffold, accs[w])
+    return best
 
 
 @dataclass

@@ -209,6 +209,10 @@ def test_edge_list_round_trip(tmp_path):
     save_edge_list(path, g.edges)
     pairs = load_edge_list(path)
     assert build_graph(5, pairs).edges.tolist() == g.edges.tolist()
+    for edges, text in (([], b"src,dst\n"), (np.array([[3, 4]]), b"src,dst\n3,4\n")):
+        save_edge_list(path, edges)
+        assert path.read_bytes() == text
+        assert load_edge_list(path) == [tuple(e) for e in np.asarray(edges).tolist()]
 
 
 def test_edge_list_header_optional(tmp_path):

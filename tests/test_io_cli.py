@@ -181,6 +181,8 @@ def test_labels_save_round_trip(tmp_path):
     p = str(tmp_path / "y.csv")
     y = np.array([0, 1, -1, 2])
     save_labels(p, y)
+    with open(p, "rb") as fh:
+        assert fh.read() == b"label\n0\n1\n-\n2\n"
     back, label_map = load_labels(p, 4)
     assert np.array_equal(back, y)
     assert label_map == {"0": 0, "1": 1, "2": 2}
@@ -1023,18 +1025,36 @@ def bare_snapshot(disk_dataset, tmp_path_factory):
          r"bad\.json: config alphas must be a list of numbers, got \[1\.0, true\]$"),
         (lambda s: dict(s, config=dict(s["config"], active_blocks="ProwX")),
          r'bad\.json: config active_blocks must be a list of strings, got "ProwX"$'),
+        # an edit that returns text is written as it is
+        (lambda s: json.dumps(s)[:20], r"bad\.json: Unterminated string starting at"),
+        (lambda s: dict(s, format_version=None),
+         r"bad\.json: format_version must be an integer, got null$"),
+        (lambda s: dict(s, format_version=True),
+         r"bad\.json: format_version must be an integer, got true$"),
+        (lambda s: dict(s, labels=[[v] for v in s["labels"]]),
+         r"bad\.json: labels must be a flat list, one class id per node$"),
+        (lambda s: dict(s, labels=[[v] * (i % 2 + 1) for i, v in enumerate(s["labels"])]),
+         r"bad\.json: labels must be a flat list, one class id per node$"),
+        (lambda s: dict(s, n_coordinates="abc"),
+         r'bad\.json: n_coordinates must be an integer, got "abc"$'),
+        (lambda s: dict(s, extra=5), r"bad\.json: extra must be an object, got int$"),
+        (lambda s: dict(s, extra=[1, 2]), r"bad\.json: extra must be an object, got list$"),
+        (lambda s: dict(s, fisher_idx=[[i] for i in s["fisher_idx"]]),
+         r"bad\.json: fisher_idx node ids must be one-dimensional, got shape \(16, 1\)$"),
     ],
     ids=["v1", "labels-length", "unlabeled-train-row", "negative-fisher-row", "width",
          "not-an-object", "no-config", "no-fisher-rows", "no-config-alphas",
          "non-integer-labels", "config-not-an-object", "unknown-block", "boolean-r-max",
          "fractional-k", "boolean-eta", "string-w", "string-alphas", "boolean-alpha",
-         "string-active-blocks"],
+         "string-active-blocks", "truncated-json", "null-format-version",
+         "boolean-format-version", "nested-labels", "ragged-labels", "string-width",
+         "number-extra", "list-extra", "two-dimensional-fisher-rows"],
 )
 def test_snapshot_rejects_inputs_that_do_not_fit(edit, match, bare_snapshot, disk_dataset, tmp_path):
     with open(bare_snapshot) as fh:
         payload = edit(json.load(fh))
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     with pytest.raises(ValueError, match=match):
         load_snapshot(str(path), disk_dataset["g"], disk_dataset["X"])
 
@@ -1117,6 +1137,11 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
             id="zero-column-gsf1",
         ),
         pytest.param(
+            ["run", "--edges", "{edges}", "--features", "{short_bin}", "--labels", "{labels}"],
+            "load-dataset",
+            id="short-gsf1-header",
+        ),
+        pytest.param(
             ["fingerprint", *DATA, "--snapshot", "{bare}", "--eval-nodes", "{repeated_ids}"],
             "select-eval-nodes",
             id="eval-node-listed-twice",
@@ -1191,13 +1216,14 @@ def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, caps
     save_features_binary(str(tmp_path / "inf.bin"), X)
     save_features_binary(str(tmp_path / "no_column.bin"), np.zeros((X.shape[0], 0)))
     (tmp_path / "repeated_ids.txt").write_text("0\n0\n0\n5\n")
+    (tmp_path / "short.bin").write_bytes(b"GSF1\x01\x00")  # 6 of the header's 20 bytes
     paths = dict(
         disk_dataset, missing=str(tmp_path / "missing.csv"), bare=bare_snapshot,
         bad_ids=str(bad_ids), empty_ids=str(tmp_path / "empty_ids.txt"),
         empty_val=str(tmp_path / "empty_val.json"), nan_csv=str(tmp_path / "nan.csv"),
         inf_bin=str(tmp_path / "inf.bin"), holey_labels=str(tmp_path / "holey_labels.csv"),
         eval_ids=str(tmp_path / "eval_ids.txt"), no_column_bin=str(tmp_path / "no_column.bin"),
-        repeated_ids=str(tmp_path / "repeated_ids.txt"),
+        repeated_ids=str(tmp_path / "repeated_ids.txt"), short_bin=str(tmp_path / "short.bin"),
         **{key: str(tmp_path / f"{key}.json") for key in broken},
     )
     out = tmp_path / "out"
@@ -1260,6 +1286,23 @@ KNOWN_VARIANTS = "known: full, raw_only, no_high_pass, no_p3x, no_sym, pca_only,
             "graphsig ablate: stage configure: --variants '' names no variant",
             id="variants-empty",
         ),
+        pytest.param(
+            ["run", "--edges", "{edges}", "--features", "{short_bin}", "--labels", "{labels}"],
+            "graphsig run: stage load-dataset: {short_bin}: GSF1 header holds 6 of its 20 bytes",
+            id="short-gsf1-header",
+        ),
+        pytest.param(
+            ["fingerprint", *DATA, "--snapshot", "{bare}", "--eval-nodes", "{comma_ids}"],
+            "graphsig fingerprint: stage select-eval-nodes: {comma_ids}: could not convert "
+            "string '60,61' to int64 at row 0, column 1.",
+            id="comma-separated-eval-nodes",
+        ),
+        pytest.param(
+            ["fingerprint", *DATA, "--snapshot", "{bare}", "--eval-nodes", "{pair_ids}"],
+            "graphsig fingerprint: stage select-eval-nodes: eval node ids must be "
+            "one-dimensional, got shape (1, 2)",
+            id="one-line-of-two-eval-nodes",
+        ),
     ],
 )
 def test_cli_name_error_line(argv, line, disk_dataset, bare_snapshot, tmp_path, capsys):
@@ -1267,7 +1310,14 @@ def test_cli_name_error_line(argv, line, disk_dataset, bare_snapshot, tmp_path, 
         snapshot = json.load(fh)
     snapshot["config"]["active_blocks"] = ["X", "Bogus"]
     (tmp_path / "bogus.json").write_text(json.dumps(snapshot))
-    paths = dict(disk_dataset, snapshot=str(tmp_path / "bogus.json"))
+    (tmp_path / "short.bin").write_bytes(b"GSF1\x01\x00")
+    (tmp_path / "comma_ids.txt").write_text("60,61\n")  # one id per line, not a comma list
+    (tmp_path / "pair_ids.txt").write_text("3 5\n")  # not the ids 3 and 5
+    paths = dict(
+        disk_dataset, snapshot=str(tmp_path / "bogus.json"), bare=bare_snapshot,
+        short_bin=str(tmp_path / "short.bin"), comma_ids=str(tmp_path / "comma_ids.txt"),
+        pair_ids=str(tmp_path / "pair_ids.txt"),
+    )
     out = tmp_path / "out"
     assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == line.format(**paths) + "\n"

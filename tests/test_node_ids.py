@@ -1,10 +1,11 @@
 """The node-id contract, entry point by entry point.
 
 Every public function that reads rows or labels by node id checks the
-ids through ``graph.node_ids``: they must be integers (a boolean mask is
-not a list of ids), each in [0, n), and where a label is read, labeled,
-from a label vector with one entry per node.  Each bad input fails with
-a ValueError that names the offending id, dtype or length.
+ids through ``graph.node_ids``: they must be one-dimensional, integers
+(a boolean mask is not a list of ids), each in [0, n), and where a label
+is read, labeled, from a label vector with one entry per node.  Each bad
+input fails with a ValueError that names the offending id, shape, dtype
+or length.
 """
 
 import functools
@@ -75,7 +76,7 @@ ENTRY_POINTS = {
 
 def _cases():
     for entry, (_, short, reads_labels, any_dtype) in ENTRY_POINTS.items():
-        kinds = ["minus-one", "n"]
+        kinds = ["minus-one", "n", "two-dimensional"]
         kinds += ["bool-mask", "float-ids"] if any_dtype else []
         kinds += ["unlabeled"] if reads_labels else []
         kinds += ["short-labels"] if short is not None else []
@@ -98,8 +99,7 @@ def _entry_point(entry, files, capsys):
         load_snapshot(files["edited"], g, X)
 
     def fingerprint(ids, y):
-        with open(files["ids"], "w") as fh:
-            fh.write("".join(f"{i}\n" for i in ids.tolist()))
+        np.savetxt(files["ids"], ids, fmt="%d")  # a 2-D array as rows of columns
         code = main([
             "fingerprint", "--edges", files["edges"], "--features", files["features"],
             "--labels", files["labels"], "--snapshot", files["snapshot"],
@@ -139,6 +139,10 @@ def test_bad_node_ids_fail_naming_the_id_dtype_or_length(entry, kind, files, cap
         "float-ids": (ids.astype(np.float64), y, "node ids must be integers, got dtype float64"),
         "minus-one": (np.append(ids, -1), y, rf"node id -1 outside \[0, {N}\)"),
         "n": (np.append(ids, N), y, rf"node id {N} outside \[0, {N}\)"),
+        "two-dimensional": (
+            np.stack([ids, ids], axis=1), y,
+            rf"node ids must be one-dimensional, got shape \({ids.size}, 2\)",
+        ),
         "unlabeled": (np.append(ids, UNLABELED), y, f"node {UNLABELED} has no label"),
         "short-labels": (ids, y[:-1], None),
     }[kind]
