@@ -426,23 +426,28 @@ def cmd_fingerprint(args):
 
 
 def _load_results(path):
-    """A results.json and its repeats' test accuracies, failing with ``path``."""
-    with open(path) as fh:
-        res = json.load(fh)
-    if not isinstance(res, dict):
-        raise ValueError(f"{path}: not a results object")
-    if "repeats" not in res:
-        raise ValueError(f"{path}: results lack 'repeats'")
-    run = []
-    for i, r in enumerate(res["repeats"]):
-        if not isinstance(r, dict) or "test_accuracy" not in r:
-            raise ValueError(f"{path}: repeat {i} lacks 'test_accuracy'")
-        acc = r["test_accuracy"]
-        if type(acc) not in (int, float):  # a bool's type is bool, not int
-            raise ValueError(
-                f"{path}: repeat {i} test_accuracy must be a number, got {json.dumps(acc)}"
-            )
-        run.append(SimpleNamespace(test_accuracy=acc))
+    """A results.json and its repeats' test accuracies; every ValueError names ``path``."""
+    try:
+        with open(path) as fh:
+            res = json.load(fh)
+        if not isinstance(res, dict):
+            raise ValueError("not a results object")
+        if "repeats" not in res:
+            raise ValueError("results lack 'repeats'")
+        if type(res["repeats"]) is not list:
+            raise ValueError(f"repeats must be a list, got {json.dumps(res['repeats'])}")
+        run = []
+        for i, r in enumerate(res["repeats"]):
+            if not isinstance(r, dict) or "test_accuracy" not in r:
+                raise ValueError(f"repeat {i} lacks 'test_accuracy'")
+            acc = r["test_accuracy"]
+            if type(acc) not in (int, float):  # a bool's type is bool, not int
+                raise ValueError(
+                    f"repeat {i} test_accuracy must be a number, got {json.dumps(acc)}"
+                )
+            run.append(SimpleNamespace(test_accuracy=acc))
+    except ValueError as err:  # a malformed JSON text raises a ValueError too
+        raise ValueError(f"{path}: {err}") from None
     return res, run
 
 

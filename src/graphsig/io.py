@@ -76,7 +76,7 @@ def _load_features_csv(path) -> np.ndarray:
             try:
                 row = [float(p) for p in parts]
             except ValueError:
-                if lineno == 1:  # the optional header: a line of numbers is a row
+                if lineno == 1 and not any(_parses(float, p) for p in parts):  # the header
                     continue
                 raise ValueError(
                     f"{path}:{lineno}: non-numeric feature value in {line!r}"
@@ -138,18 +138,18 @@ def load_labels(path, n: int):
     for line in lines:
         tokens.append(line.strip())
     if len(tokens) != n:
-        raise ValueError(f"label rows {len(tokens)} != feature rows {n}")
+        raise ValueError(f"{path}: label rows {len(tokens)} != feature rows {n}")
     seen = sorted({t for t in tokens if t not in ("", "-")})
-    if seen and all(_is_int(t) for t in seen):
+    if seen and all(_parses(int, t) for t in seen):
         seen.sort(key=int)
     label_map = {t: i for i, t in enumerate(seen)}
     y = np.array([label_map.get(t, -1) for t in tokens], dtype=np.int64)
     return y, label_map
 
 
-def _is_int(token: str) -> bool:
+def _parses(cast, token: str) -> bool:
     try:
-        int(token)
+        cast(token)
         return True
     except ValueError:
         return False

@@ -30,6 +30,10 @@ class RidgeModel:
     def sigmas(self) -> tuple:  # training-score std per alpha, over n_tr * C scores
         return tuple(float(np.std(Z_tr)) for Z_tr in self.train_scores)
 
+    @property
+    def sigma(self) -> float:  # the branch standardizer: std of the averaged training scores
+        return float(np.std(averaged_scores(self, self.train_scores)))
+
 
 def _spd_solve(G: np.ndarray, alpha: float, Y: np.ndarray) -> np.ndarray:
     """Solve (G + alpha I) beta = Y on one shifted copy of G, raised by a

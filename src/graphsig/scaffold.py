@@ -26,7 +26,7 @@ from .conventions import EPSILON
 from .dictionary import BLOCK_NAMES, SignalDictionary, block_by_name, build_dictionary
 from .fisher import fisher_scores, restrict, select_top_k
 from .graph import node_ids
-from .ridge import averaged_scores, fit_ridge, ridge_scores, scores_from_cross
+from .ridge import fit_ridge, ridge_scores, scores_from_cross
 from .subspace import class_svds, pca_residuals, truncate_subspaces
 
 DEFAULT_K_GRID = (4000, 5000, 6000, 8000)
@@ -139,8 +139,8 @@ def make_split(y, spec: SplitSpec):
         total = sum(fracs)
         if not (0 < fracs[0] < 1 and 0 <= fracs[1] < 1 and 0 <= fracs[2] <= 1):
             raise ValueError(f"fractions {fracs} must lie in (0,1), [0,1) and [0,1]")
-        if total > 1 + 1e-9:
-            raise ValueError(f"fractions sum to {total:.4f} > 1")
+        if abs(total - 1) > 1e-9:
+            raise ValueError(f"fractions {fracs} sum to {total:.10g}, not 1")
 
     rng = np.random.default_rng(spec.seed)
     train, val, test = [], [], []
@@ -178,14 +178,16 @@ class FittedScaffold:
     config: HyperConfig
     selection: object  # FisherSelection
     subspaces: list
-    ridge: object  # RidgeModel
+    ridge: object  # RidgeModel; its ``sigma`` standardizes the ridge branch
     sigma_pca: float
-    sigma_ridge: float
-    classes: np.ndarray  # training-present class ids, ascending
     train_idx: np.ndarray
     fisher_idx: np.ndarray  # the rows the Fisher scores read
     labels: np.ndarray  # class id per node, -1 where the fit read no label
     dictionary: SignalDictionary  # the matrix the selection indexes; rows() reads it
+
+    @property
+    def classes(self) -> np.ndarray:  # training-present class ids, ascending, one per subspace
+        return np.array([s.label for s in self.subspaces], dtype=np.int64)
 
     def rows(self, idx) -> np.ndarray:
         """The selected coordinates of nodes ``idx``, read from the dictionary."""
@@ -216,13 +218,6 @@ def fit(g, X, y, train, config: HyperConfig, fisher_idx=None) -> FittedScaffold:
     return scaffold
 
 
-def branch_scores(scaffold: FittedScaffold, F_rows: np.ndarray):
-    """Standardized per-branch score matrices (R~_pca, R~_ridge)."""
-    Rp = pca_residuals(F_rows, scaffold.subspaces) / (scaffold.sigma_pca + EPSILON)
-    Rr = ridge_scores(scaffold.ridge, F_rows) / (scaffold.sigma_ridge + EPSILON)
-    return Rp, Rr
-
-
 def fuse(Rp, Rr, w: float, classes):
     """Fused scores S = w * R~_pca + (1 - w) * R~_ridge and their argmin class ids."""
     S = w * Rp + (1.0 - w) * Rr
@@ -234,7 +229,8 @@ def predict(scaffold: FittedScaffold, F_rows: np.ndarray):
 
     Returns (yhat, S, R~_pca, R~_ridge); yhat entries are class ids.
     """
-    Rp, Rr = branch_scores(scaffold, F_rows)
+    Rp = pca_residuals(F_rows, scaffold.subspaces) / (scaffold.sigma_pca + EPSILON)
+    Rr = ridge_scores(scaffold.ridge, F_rows) / (scaffold.ridge.sigma + EPSILON)
     S, yhat = fuse(Rp, Rr, scaffold.config.w, scaffold.classes)
     return yhat, S, Rp, Rr
 
@@ -327,14 +323,13 @@ def grid_searches(dictionary: SignalDictionary, y, train, val, grids, fisher_idx
     y_val = y[val]
     classes = np.unique(y_tr)
     Y = _onehot(y_tr, classes)
-    eps = EPSILON
     # a repeated alpha set scores what its first occurrence scored
     alpha_sets = tuple(dict.fromkeys(tuple(a) for a in grids.alpha_sets))
     blocks = tuple(b.name for b in dictionary.active)
     # what every returned scaffold records besides its point
     labels = np.full(y.shape[0], -1, dtype=np.int64)
     labels[train], labels[fisher_idx] = y[train], y[fisher_idx]
-    recorded = dict(classes=classes, train_idx=train, fisher_idx=fisher_idx, labels=labels)
+    recorded = dict(train_idx=train, fisher_idx=fisher_idx, labels=labels)
 
     best = [None] * len(w_grids)  # per w grid: (HyperConfig, FittedScaffold, val accuracy)
     seen_k_eff = set()
@@ -373,16 +368,15 @@ def grid_searches(dictionary: SignalDictionary, y, train, val, grids, fisher_idx
             alphas = tuple(float(a) for a in key)
             betas, scores = zip(*(solved[a] for a in alphas))
             model = dataclasses.replace(union, alphas=alphas, betas=betas, train_scores=scores)
-            sigma_ridge = float(np.std(averaged_scores(model, scores)))
-            Rr_val = scores_from_cross(model, cross_val) / (sigma_ridge + eps)
-            ridges.append((key, model, sigma_ridge, Rr_val))
+            Rr_val = scores_from_cross(model, cross_val) / (model.sigma + EPSILON)
+            ridges.append((key, model, Rr_val))
         C = len(svds)
         for p, (r_max, eta, subspaces) in enumerate(points):
             cols = slice(p * C, (p + 1) * C)
             # the std reads a C-ordered copy, as it read a one-point matrix
             sigma_pca = float(np.std(np.ascontiguousarray(R_tr[:, cols])))
-            Rp_val = R_val[:, cols] / (sigma_pca + eps)
-            for key, model, sigma_ridge, Rr_val in ridges:
+            Rp_val = R_val[:, cols] / (sigma_pca + EPSILON)
+            for key, model, Rr_val in ridges:
                 accs = {w: accuracy(fuse(Rp_val, Rr_val, w, classes)[1], y_val) for w in sweep}
                 for i, ws in enumerate(w_grids):
                     for w in ws:
@@ -392,8 +386,7 @@ def grid_searches(dictionary: SignalDictionary, y, train, val, grids, fisher_idx
                             )
                             scaffold = FittedScaffold(
                                 config=config, selection=selection, subspaces=subspaces,
-                                ridge=model, sigma_pca=sigma_pca, sigma_ridge=sigma_ridge,
-                                dictionary=dictionary, **recorded,
+                                ridge=model, sigma_pca=sigma_pca, dictionary=dictionary, **recorded,
                             )
                             best[i] = (config, scaffold, accs[w])
     return best

@@ -34,7 +34,7 @@ from graphsig.dictionary import BLOCK_NAMES, BLOCKS, FAMILIES
 from graphsig.fisher import restrict
 from graphsig.graph import build_graph
 from graphsig.io import write_csv
-from graphsig.scaffold import HyperConfig, SplitSpec, branch_scores, fit, make_split, predict
+from graphsig.scaffold import HyperConfig, SplitSpec, fit, make_split, predict
 from graphsig.synth import make_sbm_dataset
 
 
@@ -171,7 +171,7 @@ def test_node_atlas_with_scores_holds_no_copy_of_the_eval_rows():
 def test_margins_match_branch_scores():
     g, X, y, sc, test = fitted()
     records = node_atlas(sc, test, y)
-    Rp, Rr = branch_scores(sc, sc.rows(test))
+    Rp, Rr = predict(sc, sc.rows(test))[2:]
     pos = {int(c): k for k, c in enumerate(sc.classes)}
     for i, r in enumerate(records):
         p = pos[r.label]

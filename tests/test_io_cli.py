@@ -22,7 +22,7 @@ import graphsig
 from graphsig import lab, scaffold
 from graphsig.cli import _run_config, build_parser, main
 from graphsig.dictionary import BLOCK_NAMES, build_dictionary
-from graphsig.graph import save_edge_list
+from graphsig.graph import load_edge_list, save_edge_list
 from graphsig.io import (
     RunConfig,
     config_hash,
@@ -149,6 +149,12 @@ def test_feature_csv_without_header_keeps_first_row(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("1,2\n3,4\n5,6\n")
     assert np.array_equal(load_features(str(p)), [[1, 2], [3, 4], [5, 6]])
+    # a first line with any number in it is a row, so a typo there is an
+    # error, not a header that drops node 0
+    p.write_text("1.0,abc\n2.0,3.0\n4.0,5.0\n")
+    with pytest.raises(ValueError) as err:
+        load_features(str(p))
+    assert str(err.value) == f"{p}:1: non-numeric feature value in '1.0,abc'"
 
 
 # --------------------------------------------------------------------- labels
@@ -186,6 +192,68 @@ def test_labels_save_round_trip(tmp_path):
     back, label_map = load_labels(p, 4)
     assert np.array_equal(back, y)
     assert label_map == {"0": 0, "1": 1, "2": 2}
+
+
+# ---------------------------------------------------------------- round trips
+
+FINITE = st.floats(-1e30, 1e30, allow_nan=False)  # float32 holds them finite
+NOT_A_NUMBER = st.text("abcxyz_", min_size=1)  # no digit, "nan" or "inf"
+FEATURE_MATRICES = st.tuples(st.integers(1, 6), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(FINITE, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0],
+    ).map(np.array)
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    edges=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=20),
+    X=FEATURE_MATRICES,
+    y=st.lists(st.integers(-1, 12), min_size=1, max_size=20).map(np.array),
+)
+def test_input_files_round_trip(edges, X, y):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = functools.partial(os.path.join, tmp)
+        save_edge_list(path("e.csv"), edges)
+        assert load_edge_list(path("e.csv")) == edges
+        save_features_binary(path("x.bin"), X)
+        want = X.astype(np.float32).astype(np.float64)  # the loader widens float32 rows
+        assert load_features(path("x.bin")).tobytes() == want.tobytes()
+        # the CSV keeps %.10g of each value, with its header or without it
+        rounded = np.array([[float(f"{v:.10g}") for v in row] for row in X.tolist()])
+        save_features_csv(path("x.csv"), X)
+        with open(path("x.csv")) as fh:
+            header, *rows = fh.readlines()
+        assert header == ",".join(f"f{j}" for j in range(X.shape[1])) + "\n"
+        with open(path("bare.csv"), "w") as fh:
+            fh.writelines(rows)
+        assert load_features(path("x.csv")).tobytes() == rounded.tobytes()
+        assert load_features(path("bare.csv")).tobytes() == rounded.tobytes()
+        save_labels(path("y.csv"), y)
+        back, label_map = load_labels(path("y.csv"), y.size)
+        classes = np.unique(y[y >= 0])
+        assert np.array_equal(back, np.where(y >= 0, np.searchsorted(classes, y), -1))
+        assert label_map == {str(c): i for i, c in enumerate(classes.tolist())}
+
+
+# a first line holding at least one number and at least one other field
+MIXED_LINES = st.tuples(
+    st.lists(FINITE.map("{:.10g}".format), min_size=1, max_size=3),
+    st.lists(NOT_A_NUMBER, min_size=1, max_size=3),
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(MIXED_LINES)
+def test_feature_csv_first_line_mixing_numbers_and_text_fails_at_line_1(first):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.csv")
+        with open(path, "w") as fh:
+            fh.write(",".join(first) + "\n" + ",".join(["0"] * len(first)) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_features(path)
+        assert str(err.value).startswith(f"{path}:1: non-numeric feature value in ")
 
 
 # -------------------------------------------------------------------- dataset
@@ -1132,6 +1200,11 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
             id="inf-feature-gsf1",
         ),
         pytest.param(
+            ["run", "--edges", "{edges}", "--features", "{typo_csv}", "--labels", "{labels}"],
+            "load-dataset",
+            id="headerless-feature-csv-with-a-typo-in-node-0",
+        ),
+        pytest.param(
             ["run", "--edges", "{edges}", "--features", "{no_column_bin}", "--labels", "{labels}"],
             "load-dataset",
             id="zero-column-gsf1",
@@ -1206,6 +1279,9 @@ def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, caps
         lines = fh.read().splitlines()
     lines[4] = "nan," + lines[4].split(",", 1)[1]  # float("nan") parses
     (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
+    # no header, and node 0's last value mistyped: line 1 is a row, not a header
+    typo = [lines[1].rsplit(",", 1)[0] + ",0.5x", *lines[2:]]
+    (tmp_path / "typo.csv").write_text("\n".join(typo) + "\n")
     # the labels file leaves one eval node, never a train row, unlabeled
     outside = [i for i in range(len(labels)) if i not in train]
     holey = [("-" if i == outside[1] else str(v)) for i, v in enumerate(disk_dataset["y"])]
@@ -1221,6 +1297,7 @@ def test_cli_error_line(argv, stage, disk_dataset, bare_snapshot, tmp_path, caps
         disk_dataset, missing=str(tmp_path / "missing.csv"), bare=bare_snapshot,
         bad_ids=str(bad_ids), empty_ids=str(tmp_path / "empty_ids.txt"),
         empty_val=str(tmp_path / "empty_val.json"), nan_csv=str(tmp_path / "nan.csv"),
+        typo_csv=str(tmp_path / "typo.csv"),
         inf_bin=str(tmp_path / "inf.bin"), holey_labels=str(tmp_path / "holey_labels.csv"),
         eval_ids=str(tmp_path / "eval_ids.txt"), no_column_bin=str(tmp_path / "no_column.bin"),
         repeated_ids=str(tmp_path / "repeated_ids.txt"), short_bin=str(tmp_path / "short.bin"),
@@ -1303,6 +1380,22 @@ KNOWN_VARIANTS = "known: full, raw_only, no_high_pass, no_p3x, no_sym, pca_only,
             "one-dimensional, got shape (1, 2)",
             id="one-line-of-two-eval-nodes",
         ),
+        pytest.param(
+            ["run", "--edges", "{edges}", "--features", "{features}", "--labels", "{short_labels}"],
+            "graphsig run: stage load-dataset: {short_labels}: label rows 49 != feature rows 50",
+            id="label-file-one-row-short",
+        ),
+        pytest.param(
+            ["paired", "--a", "{not_json}", "--b", "{results}"],
+            "graphsig paired: stage load-results: {not_json}: Expecting value: line 1 column 1 "
+            "(char 0)",
+            id="paired-a-not-json",
+        ),
+        pytest.param(
+            ["paired", "--a", "{results}", "--b", "{int_repeats}"],
+            "graphsig paired: stage load-results: {int_repeats}: repeats must be a list, got 5",
+            id="paired-b-repeats-not-a-list",
+        ),
     ],
 )
 def test_cli_name_error_line(argv, line, disk_dataset, bare_snapshot, tmp_path, capsys):
@@ -1313,10 +1406,19 @@ def test_cli_name_error_line(argv, line, disk_dataset, bare_snapshot, tmp_path, 
     (tmp_path / "short.bin").write_bytes(b"GSF1\x01\x00")
     (tmp_path / "comma_ids.txt").write_text("60,61\n")  # one id per line, not a comma list
     (tmp_path / "pair_ids.txt").write_text("3 5\n")  # not the ids 3 and 5
+    with open(disk_dataset["labels"]) as fh:
+        (tmp_path / "short_labels.csv").write_text("".join(fh.readlines()[:-1]))
+    (tmp_path / "not_json.json").write_text("repeats: 5\n")
+    (tmp_path / "int_repeats.json").write_text(json.dumps({"repeats": 5}))
+    (tmp_path / "results.json").write_text(
+        json.dumps({"repeats": [{"test_accuracy": 0.5}, {"test_accuracy": 0.7}]})
+    )
     paths = dict(
         disk_dataset, snapshot=str(tmp_path / "bogus.json"), bare=bare_snapshot,
         short_bin=str(tmp_path / "short.bin"), comma_ids=str(tmp_path / "comma_ids.txt"),
-        pair_ids=str(tmp_path / "pair_ids.txt"),
+        pair_ids=str(tmp_path / "pair_ids.txt"), short_labels=str(tmp_path / "short_labels.csv"),
+        not_json=str(tmp_path / "not_json.json"), int_repeats=str(tmp_path / "int_repeats.json"),
+        results=str(tmp_path / "results.json"),
     )
     out = tmp_path / "out"
     assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2

@@ -20,7 +20,6 @@ from graphsig.scaffold import (
     SearchGrids,
     SplitSpec,
     accuracy,
-    branch_scores,
     evaluate_repeats,
     fit,
     fuse,
@@ -130,6 +129,18 @@ def test_fraction_split_rejects_a_test_fraction_outside_the_unit_interval(test_f
         make_split(np.repeat([0, 1], 10), spec)
 
 
+@pytest.mark.parametrize(
+    "fracs, total", [((0.6, 0.2, 0.1), "0.9"), ((0.5, 0.3, 0.3), "1.1"), ((0.6, 0.2, 0.0), "0.8")]
+)
+def test_fraction_split_rejects_fractions_that_do_not_sum_to_one(fracs, total):
+    # the test split takes what train and val leave, so a test fraction
+    # that is not that remainder would be recorded but not used
+    spec = SplitSpec(mode="fraction", train_frac=fracs[0], val_frac=fracs[1], test_frac=fracs[2])
+    with pytest.raises(ValueError) as err:
+        make_split(np.repeat([0, 1], 10), spec)
+    assert str(err.value) == f"fractions {fracs} sum to {total}, not 1"
+
+
 def test_split_rejects_bad_per_class_counts():
     y = np.repeat([0, 1], 40)
     for t, v in ((-5, 30), (0, 30), (20, -1)):
@@ -175,10 +186,10 @@ def test_fit_shapes_and_standardization():
     assert np.array_equal(sc.classes, [0, 1])
     F_tr = sc.rows(train)
     assert sc.sigma_pca == pytest.approx(np.std(pca_residuals(F_tr, sc.subspaces)))
-    assert sc.sigma_ridge == pytest.approx(np.std(ridge_scores(sc.ridge, F_tr)))
-    Rp, Rr = branch_scores(sc, F_tr)
+    assert sc.ridge.sigma == pytest.approx(np.std(ridge_scores(sc.ridge, F_tr)))
+    Rp, Rr = predict(sc, F_tr)[2:]
     assert np.allclose(Rp * (sc.sigma_pca + EPSILON), pca_residuals(F_tr, sc.subspaces))
-    assert np.allclose(Rr * (sc.sigma_ridge + EPSILON), ridge_scores(sc.ridge, F_tr))
+    assert np.allclose(Rr * (sc.ridge.sigma + EPSILON), ridge_scores(sc.ridge, F_tr))
 
 
 def test_predict_uses_original_class_ids():
@@ -344,7 +355,7 @@ def test_grid_search_equals_the_point_by_point_loop(seed, monkeypatch):
     assert config == want_config
     assert acc == want_acc
     assert sc.sigma_pca == want_sp
-    assert sc.sigma_ridge == want_sr
+    assert sc.ridge.sigma == want_sr
     assert sc.subspaces[-1].r == 0
     for a, b in zip(sc.subspaces, want_subs, strict=True):
         assert (a.label, a.r, a.energy_fraction) == (b.label, b.r, b.energy_fraction)
@@ -375,7 +386,7 @@ def test_fraction_split_search_with_more_train_rows_than_coordinates():
     assert config == want_config
     assert (config.k, config.alphas) == (144, grids.alpha_sets[-1])
     assert acc == want_acc
-    assert sc.sigma_ridge == want_sr
+    assert sc.ridge.sigma == want_sr
     F_test = sc.rows(test)
     yhat, S, _, _ = predict(sc, F_test)
     Rp = pca_residuals(F_test, want_subs) / (want_sp + EPSILON)
@@ -451,7 +462,7 @@ def test_grid_search_scaffold_equals_fit_at_its_config(fisher_mode):
     for a, b in zip(got.ridge.betas, want.ridge.betas, strict=True):
         assert np.array_equal(a, b)
     assert got.sigma_pca == want.sigma_pca
-    assert got.sigma_ridge == want.sigma_ridge
+    assert got.ridge.sigma == want.ridge.sigma
 
 
 @pytest.mark.parametrize("fisher_mode", ["train", "train+val"])
@@ -496,8 +507,8 @@ def score_rows(draw):
 @given(score_rows())
 def test_branch_scores_do_not_depend_on_memory_order(rows):
     sc = three_class_scaffold()
-    c_order = branch_scores(sc, np.ascontiguousarray(rows))
-    f_order = branch_scores(sc, np.asfortranarray(rows))
+    c_order = predict(sc, np.ascontiguousarray(rows))[2:]
+    f_order = predict(sc, np.asfortranarray(rows))[2:]
     for a, b in zip(c_order, f_order, strict=True):
         assert np.array_equal(a, b)
 
@@ -537,7 +548,7 @@ def test_fit_scores_each_training_row_once_per_branch(monkeypatch):
         scaffold_module, "pca_residuals", counted("pca_residuals", pca_residuals, lambda F, s: F)
     )
     monkeypatch.setattr(
-        scaffold_module, "averaged_scores",
+        ridge_module, "averaged_scores",
         counted("ridge_scores", averaged_scores, lambda model, raw: raw[0]),
     )
     monkeypatch.setattr(
