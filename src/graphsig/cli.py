@@ -120,7 +120,7 @@ def _split_spec(args) -> SplitSpec:
         val_frac=fr[1],
         test_frac=fr[2],
         seed=args.seed,
-    )
+    ).check()
 
 
 def _grids(args) -> SearchGrids:

@@ -14,7 +14,7 @@ The dictionary is held as its recipe: the powers the active blocks name,
 except each operator's highest one, and one row scale per block.  That
 top power (P_row^3 X and P_sym^2 X for all nine blocks) is read through
 a hop instead: the dictionary holds the power just below it, whether or
-not a block names that one, plus the operator's CSR arrays, and a read
+not a block names that one, plus the operator's CSR matrix, and a read
 of the top power's entries at some rows multiplies just those operator
 rows by the held power: one multiply-add per stored entry of those rows
 and per column multiplied (all d, or only the columns read when the rows
@@ -83,18 +83,18 @@ class SignalDictionary:
     block ``active[k]``, entry (i, j) being ``(a[i, j'] - b[i, j']) *
     scale[i, k]`` with j' = j - k*d, where ``terms[k]`` is ``(a, b)`` for a
     difference block and ``(a,)`` (no subtraction) for a power.  When
-    ``hops[k]`` is an operator's CSR arrays ``(indptr, indices, data)``
-    rather than ``()``, the block's last term is read as P @ that term:
-    the operator's top power, of which only the power below is held.  The
-    n x d power arrays are shared between blocks and with ``subset``
-    views, and like ``scale`` and the operator arrays they are read-only
-    and owned by the dictionary that built them.  coord_block[j] is the
-    block index (0..8) owning column j; columns of one block are
-    contiguous and ordered by block index.
+    ``hops[k]`` is an operator P (the CSR matrix ``graph`` built) rather
+    than None, the block's last term is read as P @ that term: the
+    operator's top power, of which only the power below is held.  The
+    n x d power arrays and the operators are shared between blocks and
+    with ``subset`` views, and like ``scale`` and the operators' arrays
+    they are read-only and owned by the dictionary that built them.
+    coord_block[j] is the block index (0..8) owning column j; columns of
+    one block are contiguous and ordered by block index.
     """
 
     terms: tuple
-    hops: tuple  # per active block: () or P's CSR arrays, applied to its last term
+    hops: tuple  # per active block: None or P as CSR, applied to its last term
     scale: np.ndarray  # (n, len(active)): 1 / row norm of each block, 0 for zero rows
     coord_block: np.ndarray
     d: int
@@ -158,7 +158,7 @@ def _entries(terms, hop, rows, cols=None) -> np.ndarray:
         return power[rows] if cols is None else power[np.ix_(rows, cols)]
 
     *first, last = terms
-    v = _hop(hop, last, rows, cols) if hop else read(last)
+    v = read(last) if hop is None else _hop(hop, last, rows, cols)
     if first:
         np.subtract(read(first[0]), v, out=v)
     return v
@@ -166,15 +166,11 @@ def _entries(terms, hop, rows, cols=None) -> np.ndarray:
 
 def _hop(op, below, rows, cols=None) -> np.ndarray:
     """Rows ``rows`` and columns ``cols`` (None: all) of P @ ``below``, P
-    given by its CSR arrays ``op``: scipy's slice of just those operator
-    rows, over the held arrays uncopied, times ``below``.  Each entry sums
-    its row's stored entries in their CSR order, as the whole sparse
-    product does, so it is bitwise the same."""
-    import scipy.sparse as sp
-
-    indptr, indices, data = op
+    being the CSR operator ``op``: its slice of just those rows, times
+    ``below``.  Each entry sums its row's stored entries in their CSR
+    order, as the whole sparse product does, so it is bitwise the same."""
     n, d = below.shape
-    P_rows = sp.csr_matrix((data, indices, indptr), shape=(n, n))[rows]
+    P_rows = op[rows]
     if cols is None:
         return propagate(P_rows, below)
     if P_rows.nnz * d > n * cols.size:
@@ -193,17 +189,16 @@ def _recipes(g: SparseGraph, X: np.ndarray, active: tuple) -> tuple:
     for op, make in _OPERATORS.items():
         blocks = [b for b in active if b.operator == op]
         top = max((k for b in blocks for k in b.powers), default=0)
-        power, hop = {0: X}, ()
+        power, hop = {0: X}, None
         if top:
-            P = make(g)
-            hop = (P.indptr, P.indices, P.data)
+            hop = make(g)
             for k in range(1, top):
-                power[k] = propagate(P, power[k - 1])
-            for a in (*hop, *power.values()):
+                power[k] = propagate(hop, power[k - 1])
+            for a in (hop.indptr, hop.indices, hop.data, *power.values()):
                 a.flags.writeable = False
         for b in blocks:
             terms[b] = tuple(power[k] if k in power else power[k - 1] for k in b.powers)
-            hops[b] = hop if top in b.powers else ()
+            hops[b] = hop if top in b.powers else None
     return tuple(terms[b] for b in active), tuple(hops[b] for b in active)
 
 

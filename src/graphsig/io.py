@@ -28,7 +28,7 @@ from operator import itemgetter
 import numpy as np
 
 from .conventions import PACKAGE_VERSION, conventions
-from .dictionary import BLOCK_NAMES
+from .dictionary import BLOCK_NAMES, canonical_blocks
 from .graph import build_graph, load_edge_list, node_ids
 from .scaffold import FittedScaffold, HyperConfig, SearchGrids, SplitSpec, fit
 
@@ -337,7 +337,9 @@ def load_snapshot(path, g, X) -> tuple:
     snapshot object, another format version, a missing key, a config that
     ``HyperConfig.from_dict`` rejects, labels that are not a flat list of
     integers, train or Fisher rows that fail ``graph.node_ids`` with them,
-    a width or ``extra`` of another JSON kind, or what the refit rejects.
+    a width or ``extra`` of another JSON kind, a width that the config's
+    blocks over X's columns do not give (checked before the refit), or
+    what the refit rejects.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -370,15 +372,13 @@ def load_snapshot(path, g, X) -> tuple:
         fisher_idx = node_ids(fisher_idx, g.n, "fisher_idx", labels)
         if type(width) is not int:
             raise ValueError(f"n_coordinates must be an integer, got {json.dumps(width)}")
+        p = len(canonical_blocks(config.active_blocks)) * X.shape[1]
+        if p != width:
+            raise ValueError(f"dictionary has {p} coordinates, snapshot was built over {width}")
         extra = payload.get("extra", {})
         if not isinstance(extra, dict):
             raise ValueError(f"extra must be an object, got {type(extra).__name__}")
         scaffold = fit(g, X, labels, train_idx, config, fisher_idx=fisher_idx)
-        if scaffold.dictionary.p != width:
-            raise ValueError(
-                f"dictionary has {scaffold.dictionary.p} coordinates, snapshot "
-                f"was built over {width}"
-            )
     except ValueError as err:  # a malformed JSON text raises a ValueError too
         raise ValueError(f"{path}: {err}") from None
     return scaffold, extra

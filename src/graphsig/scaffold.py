@@ -120,6 +120,26 @@ class SplitSpec:
     seed: int = 0
     repeat: int = 0
 
+    def check(self) -> "SplitSpec":
+        """This spec, if its mode is known and its counts or fractions
+        can split a class, else ValueError; it reads no labels, so a
+        request fails before anything is fitted."""
+        if self.mode not in ("per-class", "fraction"):
+            raise ValueError(f"unknown split mode {self.mode!r}")
+        if self.mode == "per-class" and (self.train_per_class < 1 or self.val_per_class < 0):
+            raise ValueError(
+                f"per-class counts need train >= 1 and val >= 0, got "
+                f"{self.train_per_class} and {self.val_per_class}"
+            )
+        if self.mode == "fraction":
+            fracs = (self.train_frac, self.val_frac, self.test_frac)
+            total = sum(fracs)
+            if not (0 < fracs[0] < 1 and 0 <= fracs[1] < 1 and 0 <= fracs[2] <= 1):
+                raise ValueError(f"fractions {fracs} must lie in (0,1), [0,1) and [0,1]")
+            if abs(total - 1) > 1e-9:
+                raise ValueError(f"fractions {fracs} sum to {total:.10g}, not 1")
+        return self
+
 
 def make_split(y, spec: SplitSpec):
     """Deterministic class-balanced (train, val, test) index arrays."""
@@ -127,20 +147,7 @@ def make_split(y, spec: SplitSpec):
     labeled = np.flatnonzero(y >= 0)
     if labeled.size == 0:
         raise ValueError("no labeled nodes to split")
-    if spec.mode not in ("per-class", "fraction"):
-        raise ValueError(f"unknown split mode {spec.mode!r}")
-    if spec.mode == "per-class" and (spec.train_per_class < 1 or spec.val_per_class < 0):
-        raise ValueError(
-            f"per-class counts need train >= 1 and val >= 0, got "
-            f"{spec.train_per_class} and {spec.val_per_class}"
-        )
-    if spec.mode == "fraction":
-        fracs = (spec.train_frac, spec.val_frac, spec.test_frac)
-        total = sum(fracs)
-        if not (0 < fracs[0] < 1 and 0 <= fracs[1] < 1 and 0 <= fracs[2] <= 1):
-            raise ValueError(f"fractions {fracs} must lie in (0,1), [0,1) and [0,1]")
-        if abs(total - 1) > 1e-9:
-            raise ValueError(f"fractions {fracs} sum to {total:.10g}, not 1")
+    spec.check()
 
     rng = np.random.default_rng(spec.seed)
     train, val, test = [], [], []

@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -571,6 +572,9 @@ def assert_same_fields(a, b):
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert_same_fields(x, y)
+    elif sp.issparse(a):  # a CSR operator: its shape and its three arrays
+        assert a.shape == b.shape
+        assert_same_fields((a.indptr, a.indices, a.data), (b.indptr, b.indices, b.data))
     else:
         assert a == b
 
@@ -758,6 +762,39 @@ def test_cli_fingerprint_matches_run(run_out, disk_dataset, tmp_path):
     for key in ("R_D", "L_D", "H_D", "C_D", "Q_ridge", "Q_hard", "delta_H",
                 "quadrants", "n_eval", "accuracy", "per_block_means"):
         assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("fisher_mode", ["train", "train+val"])
+def test_cli_fraction_split_snapshot_refits_the_run(fisher_mode, tmp_path):
+    # 600 nodes with d = 16: a 144-wide dictionary under 360 train rows;
+    # train+val is the one mode whose Fisher rows are not the train rows
+    g, X, y = make_sbm_dataset(n_per_class=200, n_classes=3, d=16, seed=0)
+    data = write_dataset(str(tmp_path), g, X, y)
+    dataset = ["--edges", data[0], "--features", data[1], "--labels", data[2]]
+    run, refit = str(tmp_path / "run"), str(tmp_path / "refit")
+    assert main([
+        "run", *dataset, "--split-mode", "fraction", "--fractions", "0.6,0.2,0.2",
+        "--repeats", "2", "--fisher-mode", fisher_mode, "--out", run, *FAST_MODEL,
+    ]) == 0
+    assert os.path.getsize(os.path.join(run, "results.json")) > 0
+    snap = os.path.join(run, "repeat_00", "snapshot.json")
+    assert main(["fingerprint", *dataset, "--snapshot", snap, "--out", refit]) == 0
+
+    def rows(out):
+        with open(os.path.join(out, "atlas.csv")) as fh:
+            meta, *rest = fh.read().splitlines()
+        assert meta.startswith("#"), meta
+        return rest
+
+    def fingerprint(out):
+        with open(os.path.join(out, "fingerprint.json")) as fh:
+            fp = json.load(fh)
+        del fp["meta"]
+        return fp
+
+    rep = os.path.join(run, "repeat_00")
+    assert rows(refit) == rows(rep)
+    assert fingerprint(refit) == fingerprint(rep)
 
 
 def test_cli_atlas_eval_nodes_override(run_out, disk_dataset, tmp_path):
@@ -1127,6 +1164,22 @@ def test_snapshot_rejects_inputs_that_do_not_fit(edit, match, bare_snapshot, dis
         load_snapshot(str(path), disk_dataset["g"], disk_dataset["X"])
 
 
+def test_snapshot_width_is_checked_before_the_refit(
+    bare_snapshot, disk_dataset, tmp_path, monkeypatch
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("refit ran before the width check")
+
+    monkeypatch.setattr(graphsig.io, "fit", no_fit)
+    with open(bare_snapshot) as fh:
+        payload = dict(json.load(fh), n_coordinates=7)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"bad\.json: dictionary has 45 coordinates, snapshot "
+                                         r"was built over 7$"):
+        load_snapshot(str(path), disk_dataset["g"], disk_dataset["X"])
+
+
 DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"]
 
 
@@ -1241,6 +1294,16 @@ DATA = ["--edges", "{edges}", "--features", "{features}", "--labels", "{labels}"
         ),
         pytest.param(["run", *DATA, "--grid-k", "4000,x"], "configure", id="malformed-grid-k"),
         pytest.param(["run", *DATA, "--grid-eta", "abc"], "configure", id="malformed-grid-eta"),
+        pytest.param(
+            ["run", *DATA, "--split-mode", "fraction", "--fractions", "0.6,0.2,0.1"],
+            "configure",
+            id="run-fractions-sum-below-one",
+        ),
+        pytest.param(
+            ["ablate", *DATA, "--split-mode", "fraction", "--fractions", "0.6,0.2,0.1"],
+            "configure",
+            id="ablate-fractions-sum-below-one",
+        ),
         # the default 20 train / 30 val request leaves 25-member classes no test node
         pytest.param(["run", *DATA, "--repeats", "1"], "evaluate", id="split-without-test"),
         pytest.param(

@@ -471,6 +471,28 @@ def test_compare_runs():
         compare_runs(a, b[:2])
 
 
+# accuracies on a coarse grid give tied and zero deltas; n spans both
+# sides of the exact Wilcoxon test's 20 nonzero pairs
+ACCURACY = st.integers(0, 20).map(lambda k: k / 20) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(ACCURACY, ACCURACY), min_size=2, max_size=30))
+def test_compare_runs_is_antisymmetric(pairs):
+    a, b = ([SimpleNamespace(test_accuracy=x) for x in run] for run in zip(*pairs))
+    ab, ba = compare_runs(a, b), compare_runs(b, a)
+    assert ba.deltas == tuple(-x for x in ab.deltas)
+    for name in ("mean", "median", "t_stat", "effect_size"):
+        assert getattr(ba, name) == -getattr(ab, name), name
+    assert (ba.delta_min, ba.delta_max) == (-ab.delta_max, -ab.delta_min)
+    assert (ba.ci_low, ba.ci_high) == (-ab.ci_high, -ab.ci_low)
+    assert ba.wins == sum(x < 0 for x in ab.deltas)
+    for name in ("n", "std", "t_p", "sign_p", "wilcoxon_p", "wilcoxon_method", "degenerate"):
+        assert getattr(ba, name) == getattr(ab, name), name
+    nonzero = sum(x != 0 for x in ab.deltas)  # W+ of one order is W- of the other
+    assert ba.wilcoxon_stat + ab.wilcoxon_stat == nonzero * (nonzero + 1) / 2
+
+
 def test_run_variants_returns_all_requested():
     g, X, y = tiny_dataset(seed=9)
     spec = SplitSpec(train_per_class=8, val_per_class=5, seed=1)
